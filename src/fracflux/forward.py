@@ -9,6 +9,14 @@ truncation of the source at t0 only shifts the same identity.  Everything
 therefore evaluates exactly, for real times and for complex times in the
 analytic-extension sector alike.
 
+u_k, v_k and each unit-coefficient flux column of mode k contract one kernel
+block {E1, q, ce_m, cw_m} on a time grid (``_KernelBlock``) with (phi_k, psi_k,
+f_k, chi_k), or with unit coefficients for the inverse design matrix.  The block
+evaluates each Prabhakar kernel at most once, on first use: truncated source
+convolutions of every order share one shifted evaluation per order, and a
+kernel whose coefficients are all zero (q and cw_m when theta = a = b = 0, as
+in the decoupled problem) is never evaluated.
+
 Mode evaluations are independent and pure; sums over modes are accumulated in
 fixed k-order so repeated runs are bit-identical.
 """
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +33,7 @@ from .modes import ModelParams, ModeTable, as_coeffs
 from .specfun import (
     DomainError,
     PrabhakarParams,
+    _graded_jacobi_integral,
     _principal_power_array,
     prabhakar_array,
 )
@@ -87,14 +97,15 @@ class SourceSpec:
 
     def mode_values(self, k: int, t) -> np.ndarray:
         """f_k(t) on an array of times (zero beyond t0)."""
-        t = np.asarray(t, dtype=float)
-        out = np.polynomial.polynomial.polyval(t, self.f_coeffs[k - 1])
-        return np.where(t < self.t0, out, 0.0)
+        return self._row_values(self.f_coeffs[k - 1], t)
 
     def chi_mode_values(self, k: int, t) -> np.ndarray:
+        """chi_k(t) on an array of times (zero beyond t0)."""
+        return self._row_values(self.chi_coeffs[k - 1], t)
+
+    def _row_values(self, row: np.ndarray, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        out = np.polynomial.polynomial.polyval(t, self.chi_coeffs[k - 1])
-        return np.where(t < self.t0, out, 0.0)
+        return np.where(t < self.t0, np.polynomial.polynomial.polyval(t, row), 0.0)
 
 
 @dataclass(frozen=True)
@@ -134,13 +145,6 @@ def _E(alpha: float, beta: float, gamma: float, lam: float, tv: np.ndarray) -> n
     return prabhakar_array(PrabhakarParams(alpha, beta, gamma), -lam * ta)
 
 
-def _q_values(params: ModelParams, lam_breve: float, lam_hat: float, tv: np.ndarray) -> np.ndarray:
-    a = params.alpha
-    if _roots_coalesced(lam_breve, lam_hat):
-        return _principal_power_array(tv, a) * _E(a, a + 1.0, 2.0, lam_breve, tv)
-    return (_E(a, 1.0, 1.0, lam_hat, tv) - _E(a, 1.0, 1.0, lam_breve, tv)) / (lam_breve - lam_hat)
-
-
 def _w_values(params: ModelParams, lam_breve: float, lam_hat: float, tv: np.ndarray) -> np.ndarray:
     a = params.alpha
     tv = np.asarray(tv, dtype=complex)
@@ -161,10 +165,9 @@ def _w_values(params: ModelParams, lam_breve: float, lam_hat: float, tv: np.ndar
 
 def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[complex, complex]:
     """(q_k(z), w_k(z)): the divided-difference pair, coalescent branch when the roots merge."""
-    j = k - 1
     tv = np.asarray([complex(z)])
-    q = _q_values(params, table.lam_breve[j], table.lam_hat[j], tv)[0]
-    w = _w_values(params, table.lam_breve[j], table.lam_hat[j], tv)[0]
+    q = _KernelBlock(params, table, k, tv, params.t0).q[0]
+    w = _w_values(params, table.lam_breve[k - 1], table.lam_hat[k - 1], tv)[0]
     return complex(q), complex(w)
 
 
@@ -179,64 +182,112 @@ def _conv_full(alpha: float, lam: float, gamma_ml: float, j: int, tv: np.ndarray
 
 
 def _conv_truncated(
-    alpha: float, lam: float, gamma_ml: float, m: int, tv: np.ndarray, t0: float, cut: np.ndarray
+    alpha: float, lam: float, gamma_ml: float, m: int, tv: np.ndarray, t0: float, cut: np.ndarray, memo=None
 ) -> np.ndarray:
-    """Same convolution but with the source cut off at t0 (mask ``cut`` marks t beyond t0)."""
-    out = _conv_full(alpha, lam, gamma_ml, m, tv)
+    """Same convolution but with the source cut off at t0 (mask ``cut`` marks t beyond t0).
+
+    Past t0 the binomial theorem subtracts sum_j C(m, j) t0^(m-j) conv_j(t - t0).
+    ``memo`` keeps the full convolutions, keyed by (order, shifted), for the
+    other orders of the same kernel on the same grid.
+    """
+    memo = {} if memo is None else memo
+
+    def full(j: int, shifted: bool) -> np.ndarray:
+        if (j, shifted) not in memo:
+            memo[j, shifted] = _conv_full(alpha, lam, gamma_ml, j, tv[cut] - t0 if shifted else tv)
+        return memo[j, shifted]
+
+    out = full(m, False).copy()
     if cut.any():
-        shifted = tv[cut] - t0
-        corr = np.zeros(shifted.shape, dtype=complex)
+        corr = np.zeros(np.count_nonzero(cut), dtype=complex)
         for j in range(m + 1):
-            corr += math.comb(m, j) * t0 ** (m - j) * _conv_full(alpha, lam, gamma_ml, j, shifted)
+            corr += math.comb(m, j) * t0 ** (m - j) * full(j, True)
         out[cut] -= corr
     return out
 
 
-def _mode_values(
-    params: ModelParams,
-    table: ModeTable,
-    k: int,
-    phi_k: complex,
-    psi_k: complex,
-    f_row: np.ndarray,
-    chi_row: np.ndarray,
-    tv: np.ndarray,
-    t0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """u_k and v_k on an array of (possibly complex) times."""
-    jj = k - 1
-    a = params.alpha
-    lb, lh = float(table.lam_breve[jj]), float(table.lam_hat[jj])
-    th, ze = float(table.theta[jj]), float(table.zeta[jj])
-    tv = np.asarray(tv, dtype=complex)
+class _KernelBlock:
+    """The kernels {E1, q, ce_m, cw_m} of mode k on one time grid, each evaluated once, on first use.
 
-    u = np.zeros(tv.shape, dtype=complex)
-    v = np.zeros(tv.shape, dtype=complex)
+    E1 = E_{a,1}(-lam_breve t^a) and q, its divided difference over the two
+    roots, carry (phi_k, psi_k); ce_m and cw_m, the order-m source convolutions
+    of the matching kernels, carry (f_km, chi_km).  ``contract`` asks for q and
+    cw_m only when a coefficient multiplying them is nonzero; a skipped kernel
+    enters its sums as 0, which leaves them unchanged.
+    """
 
-    if phi_k != 0 or psi_k != 0:
-        E1 = _E(a, 1.0, 1.0, lb, tv)
-        q = _q_values(params, lb, lh, tv)
-        u += (E1 + th * q) * phi_k - params.a * q * psi_k
-        v += -params.b * q * phi_k + (E1 + ze * q) * psi_k
-
-    f_row = np.asarray(f_row, dtype=complex)
-    chi_row = np.asarray(chi_row, dtype=complex)
-    if np.any(f_row != 0) or np.any(chi_row != 0):
+    def __init__(self, params: ModelParams, table: ModeTable, k: int, tv, t0: float):
+        self.alpha, self.a, self.b, self.t0 = params.alpha, params.a, params.b, t0
+        self.lb, self.lh = float(table.lam_breve[k - 1]), float(table.lam_hat[k - 1])
+        self.theta, self.zeta = float(table.theta[k - 1]), float(table.zeta[k - 1])
+        self.coalesced = _roots_coalesced(self.lb, self.lh)
+        self.tv = np.asarray(tv, dtype=complex)
         # sources act over (0, t0) only: real times past t0 and every complex
         # extension point use the shifted form of the convolution identity
-        cut = (tv.imag != 0) | (tv.real > t0)
-        coalesced = _roots_coalesced(lb, lh)
-        for m in range(f_row.size):
-            fm, xm = f_row[m], chi_row[m]
+        self.cut = (self.tv.imag != 0) | (self.tv.real > t0)
+        self._memo = {}  # (lam, gamma) -> that kernel's full convolutions
+
+    @cached_property
+    def E1(self) -> np.ndarray:
+        return _E(self.alpha, 1.0, 1.0, self.lb, self.tv)
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        a = self.alpha
+        if self.coalesced:
+            return _principal_power_array(self.tv, a) * _E(a, a + 1.0, 2.0, self.lb, self.tv)
+        return (_E(a, 1.0, 1.0, self.lh, self.tv) - self.E1) / (self.lb - self.lh)
+
+    def _conv(self, lam: float, gamma_ml: float, m: int) -> np.ndarray:
+        memo = self._memo.setdefault((lam, gamma_ml), {})
+        return _conv_truncated(self.alpha, lam, gamma_ml, m, self.tv, self.t0, self.cut, memo)
+
+    def ce(self, m: int) -> np.ndarray:
+        return self._conv(self.lb, 1.0, m)
+
+    def cw(self, m: int) -> np.ndarray:
+        if self.coalesced:
+            return self._conv(self.lb, 2.0, m)
+        return (self._conv(self.lh, 1.0, m) - self.ce(m)) / (self.lb - self.lh)
+
+    def _needs_w(self, x: complex, y: complex) -> bool:
+        """Whether q (or cw_m) has a nonzero coefficient when (phi_k, psi_k) (or (f_km, chi_km)) = (x, y)."""
+        return (x != 0 and (self.theta != 0 or self.b != 0)) or (y != 0 and (self.a != 0 or self.zeta != 0))
+
+    def contract(self, phi_k: complex, psi_k: complex, f_row, chi_row) -> tuple[np.ndarray, np.ndarray]:
+        """(u_k, v_k) for the initial coefficients (phi_k, psi_k) and source rows (f_k, chi_k)."""
+        th, ze, pa, pb = self.theta, self.zeta, self.a, self.b
+        u = np.zeros(self.tv.shape, dtype=complex)
+        v = np.zeros(self.tv.shape, dtype=complex)
+        if phi_k != 0 or psi_k != 0:
+            E1 = self.E1
+            q = self.q if self._needs_w(phi_k, psi_k) else 0.0
+            u += (E1 + th * q) * phi_k - pa * q * psi_k
+            v += -pb * q * phi_k + (E1 + ze * q) * psi_k
+        for m, (fm, xm) in enumerate(zip(np.asarray(f_row, dtype=complex), np.asarray(chi_row, dtype=complex))):
             if fm == 0 and xm == 0:
                 continue
-            ce = _conv_truncated(a, lb, 1.0, m, tv, t0, cut)
-            if coalesced:
-                cw = _conv_truncated(a, lb, 2.0, m, tv, t0, cut)
-            else:
-                cw = (_conv_truncated(a, lh, 1.0, m, tv, t0, cut) - ce) / (lb - lh)
-            u += fm * (ce + th * cw) - params.a * xm * cw
-            v += -params.b * fm * cw + xm * (ce + ze * cw)
+            ce = self.ce(m)
+            cw = self.cw(m) if self._needs_w(fm, xm) else 0.0
+            u += fm * (ce + th * cw) - pa * xm * cw
+            v += -pb * fm * cw + xm * (ce + ze * cw)
+        return u, v
+
+
+def _all_modes(params: ModelParams, table: ModeTable, phi, psi, src: SourceSpec, tv: np.ndarray):
+    """(u, v) of shape (K,) + tv.shape: every mode of the direct problem on complex times tv."""
+    K = table.K
+    phi_c = as_coeffs(phi, K)
+    psi_c = as_coeffs(psi, K)
+    if src.K > K:
+        raise ValueError(f"source has {src.K} modes, table only {K}")
+    zero_row = np.zeros(src.degree + 1)
+    u = np.zeros((K,) + tv.shape, dtype=complex)
+    v = np.zeros((K,) + tv.shape, dtype=complex)
+    for k in range(1, K + 1):
+        rows = (src.f_coeffs[k - 1], src.chi_coeffs[k - 1]) if k <= src.K else (zero_row, zero_row)
+        block = _KernelBlock(params, table, k, tv, src.t0)
+        u[k - 1], v[k - 1] = block.contract(complex(phi_c[k - 1]), complex(psi_c[k - 1]), *rows)
     return u, v
 
 
@@ -259,7 +310,7 @@ def mode_solution(
     t = np.asarray(time_grid, dtype=float)
     if (t < 0).any():
         raise DomainError("time grid must be non-negative")
-    return _mode_values(params, table, k, complex(phi_k), complex(psi_k), f_row, chi_row, t, params.t0)
+    return _KernelBlock(params, table, k, t, params.t0).contract(complex(phi_k), complex(psi_k), f_row, chi_row)
 
 
 def solve(
@@ -274,20 +325,7 @@ def solve(
     t = np.asarray(time_grid, dtype=float)
     if t.ndim != 1 or (np.diff(t) <= 0).any() or (t < 0).any():
         raise DomainError("time grid must be strictly increasing and non-negative")
-    K = table.K
-    phi_c = as_coeffs(phi, K)
-    psi_c = as_coeffs(psi, K)
-    if src.K > K:
-        raise ValueError(f"source has {src.K} modes, table only {K}")
-    u = np.zeros((K, t.size), dtype=complex)
-    v = np.zeros((K, t.size), dtype=complex)
-    for k in range(1, K + 1):
-        f_row = src.f_coeffs[k - 1] if k <= src.K else np.zeros(src.degree + 1)
-        x_row = src.chi_coeffs[k - 1] if k <= src.K else np.zeros(src.degree + 1)
-        u[k - 1], v[k - 1] = _mode_values(
-            params, table, k, complex(phi_c[k - 1]), complex(psi_c[k - 1]), f_row, x_row,
-            t.astype(complex), src.t0,
-        )
+    u, v = _all_modes(params, table, phi, psi, src, t.astype(complex))
     return StateTrajectory(time_grid=t, u_modes=u, v_modes=v, params=params)
 
 
@@ -314,17 +352,7 @@ def extend_complex(params: ModelParams, table: ModeTable, phi, psi, src: SourceS
         raise DomainError(
             f"z must lie in the sector |Arg(z - t0)| < {theta_max:.6f} around (t0, infinity)"
         )
-    K = table.K
-    phi_c = as_coeffs(phi, K)
-    psi_c = as_coeffs(psi, K)
-    u = np.zeros((K,) + zarr.shape, dtype=complex)
-    v = np.zeros((K,) + zarr.shape, dtype=complex)
-    for k in range(1, K + 1):
-        f_row = src.f_coeffs[k - 1] if k <= src.K else np.zeros(src.degree + 1)
-        x_row = src.chi_coeffs[k - 1] if k <= src.K else np.zeros(src.degree + 1)
-        u[k - 1], v[k - 1] = _mode_values(
-            params, table, k, complex(phi_c[k - 1]), complex(psi_c[k - 1]), f_row, x_row, zarr, src.t0
-        )
+    u, v = _all_modes(params, table, phi, psi, src, zarr)
     if np.ndim(z) == 0:
         return u[:, 0], v[:, 0]
     return u, v
@@ -422,6 +450,7 @@ def mode_estimate_constant(traj: StateTrajectory, phi, psi, src: SourceSpec) -> 
     pos = t > 0
     tv = t[pos].astype(complex)
     cut = (tv.real > src.t0) | (tv.imag != 0)
+    abel = {}  # full convolutions of the lam = 0 kernel, the same for every mode
     c0 = 0.0
     phi_c = as_coeffs(phi, traj.K)
     psi_c = as_coeffs(psi, traj.K)
@@ -432,7 +461,7 @@ def mode_estimate_constant(traj: StateTrajectory, phi, psi, src: SourceSpec) -> 
             absf = np.abs(src.f_coeffs[k - 1]) + np.abs(src.chi_coeffs[k - 1])
             for m, cm in enumerate(absf):
                 if cm != 0:
-                    rhs = rhs + cm * math.gamma(a) * _conv_truncated(a, 0.0, 1.0, m, tv, src.t0, cut).real
+                    rhs = rhs + cm * math.gamma(a) * _conv_truncated(a, 0.0, 1.0, m, tv, src.t0, cut, abel).real
         mask = rhs > 0
         if mask.any():
             c0 = max(c0, float(np.max(lhs[mask] / rhs[mask])))
@@ -461,8 +490,6 @@ def convolve_kernel_quadrature(
     y^(g a - 1) is absorbed by a Jacobi rule on the innermost panel and the
     remaining mild y^alpha kinks by geometric grading toward y = 0.
     """
-    from scipy.special import roots_jacobi
-
     if t <= 0:
         return 0.0 + 0.0j
     pml = PrabhakarParams(alpha, gamma_ml * alpha, gamma_ml)
@@ -481,13 +508,4 @@ def convolve_kernel_quadrature(
             y = mid + half * xg
             total += half * np.sum(wg * y**wexp * smooth(y))
         return complex(total)
-    edges = t * 0.25 ** np.arange(n_panels, -1, -1)
-    for a_, b_ in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-        y = mid + half * xg
-        total += half * np.sum(wg * y**wexp * smooth(y))
-    xj, wj = roots_jacobi(nodes, 0.0, wexp)
-    eps0 = edges[0]
-    y = eps0 * (1.0 + xj) / 2.0
-    total += (eps0 / 2.0) ** (wexp + 1.0) * np.sum(wj * smooth(y))
-    return complex(total)
+    return complex(_graded_jacobi_integral(smooth, wexp, t, n_panels, nodes))

@@ -20,7 +20,7 @@ from typing import Literal
 
 import numpy as np
 
-from .forward import FluxTrace, SourceSpec, _conv_truncated, _E, _q_values, _roots_coalesced
+from .forward import FluxTrace, SourceSpec, _KernelBlock, _roots_coalesced
 from .laplace import JumpContext, q_branch
 from .modes import ModelParams, ModeTable, SpectralField, check_separation
 from .specfun import DomainError
@@ -296,44 +296,45 @@ class ReconstructionResult:
 
 
 def _flux_columns(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray, which: str):
-    """Unit-coefficient flux responses; per-mode kernels are computed once and shared.
+    """Unit-coefficient flux responses: gamma_k times u_k with one unknown set to 1.
 
     Columns come in per-mode blocks: f_(k,0..M), phi_k and, for the coupled
-    problem, chi_(k,0..M), psi_k.
+    problem, chi_(k,0..M), psi_k.  The columns of mode k contract one shared
+    ``forward._KernelBlock``, so each of its kernels is evaluated at most once,
+    and in the decoupled problem (q, cw_m unused) that is 2(M+1)+1 evaluations.
     """
-    a = params.alpha
     tv = t.astype(complex)
-    cut = tv.real > params.t0
     cols = []
     for k in range(1, table.K + 1):
-        j = k - 1
-        lb, lh = float(table.lam_breve[j]), float(table.lam_hat[j])
-        th = float(table.theta[j])
-        gk = table.gamma_trace[j]
-        coalesced = _roots_coalesced(lb, lh)
-        ce = {}
-        cw = {}
-        for m in range(degree + 1):
-            ce[m] = _conv_truncated(a, lb, 1.0, m, tv, params.t0, cut)
-            if coalesced:
-                cw[m] = _conv_truncated(a, lb, 2.0, m, tv, params.t0, cut)
-            else:
-                cw[m] = (_conv_truncated(a, lh, 1.0, m, tv, params.t0, cut) - ce[m]) / (lb - lh)
-        for m in range(degree + 1):
-            cols.append(gk * (ce[m] + th * cw[m]))  # unit f_{k,m}
-        E1 = _E(a, 1.0, 1.0, lb, tv)
-        q = _q_values(params, lb, lh, tv)
-        cols.append(gk * (E1 + th * q))  # unit phi_k
-        if which == "ip2":
-            for m in range(degree + 1):
-                cols.append(gk * (-params.a) * cw[m])  # unit chi_{k,m}
-            cols.append(gk * (-params.a) * q)  # unit psi_k
+        block = _KernelBlock(params, table, k, tv, params.t0)
+        gk = table.gamma_trace[k - 1]
+        for unit in np.eye(_unknowns_per_mode(degree, which), dtype=complex):
+            f_row, phi_k, chi_row, psi_k = _split_unknowns(unit, degree, which)
+            cols.append(gk * block.contract(phi_k, psi_k, f_row, chi_row)[0])
     return cols
 
 
 def _unknowns_per_mode(degree: int, which: str) -> int:
     """Length of one per-mode block in the column order of _flux_columns."""
     return (degree + 1) + 1 if which == "ip1" else 2 * (degree + 1) + 2
+
+
+def _split_unknowns(block: np.ndarray, M: int, which: str):
+    """(f_row, phi_k, chi_row, psi_k) from one per-mode block of unknowns; chi and psi are 0 for ip1."""
+    if which == "ip2":
+        return block[: M + 1], block[M + 1], block[M + 2 : 2 * M + 3], block[2 * M + 3]
+    return block[: M + 1], block[M + 1], np.zeros(M + 1, dtype=complex), 0.0
+
+
+def _weighted_design(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray, which: str):
+    """(A sqrt(w), sqrt(w)): the design matrix with rows scaled by trapezoid weights w on t."""
+    A = np.column_stack(_flux_columns(params, table, degree, t, which))
+    w = np.empty(t.size)
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    sw = np.sqrt(w)
+    return A * sw[:, None], sw
 
 
 def _legendre_to_monomial(t0: float, degree: int) -> np.ndarray:
@@ -402,17 +403,8 @@ def lsq_reconstruct(
     if (t <= params.t0).any() or (t >= params.t1).any():
         raise DomainError("data grid must lie inside the observation window (t0, t1)")
 
-    cols = _flux_columns(params, table, degree, t, which)
-    A = np.column_stack(cols)
-    b = np.asarray(data.values, dtype=complex)
-
-    w = np.empty(t.size)
-    w[1:-1] = 0.5 * (t[2:] - t[:-2])
-    w[0] = 0.5 * (t[1] - t[0])
-    w[-1] = 0.5 * (t[-1] - t[-2])
-    sw = np.sqrt(w)
-    Aw = A * sw[:, None]
-    bw = b * sw
+    Aw, sw = _weighted_design(params, table, degree, t, which)
+    bw = np.asarray(data.values, dtype=complex) * sw
 
     s_raw = np.linalg.svd(Aw, compute_uv=False)
     cond = float(s_raw[0] / s_raw[-1]) if s_raw[-1] > 0 else math.inf
@@ -443,19 +435,13 @@ def lsq_reconstruct(
     residual = float(np.linalg.norm(Aw @ x - bw))
 
     K, M = table.K, degree
-    nf = K * (M + 1)
     f_hat = np.zeros((K, M + 1), dtype=complex)
     chi_hat = np.zeros((K, M + 1), dtype=complex)
     phi_hat = np.zeros(K, dtype=complex)
     psi_hat = np.zeros(K, dtype=complex)
     per = _unknowns_per_mode(M, which)
     for k in range(K):
-        block = x[k * per : (k + 1) * per]
-        f_hat[k] = block[: M + 1]
-        phi_hat[k] = block[M + 1]
-        if which == "ip2":
-            chi_hat[k] = block[M + 2 : 2 * M + 3]
-            psi_hat[k] = block[2 * M + 3]
+        f_hat[k], phi_hat[k], chi_hat[k], psi_hat[k] = _split_unknowns(x[k * per : (k + 1) * per], M, which)
     return ReconstructionResult(
         phi_hat=SpectralField(phi_hat),
         psi_hat=SpectralField(psi_hat),
@@ -497,13 +483,7 @@ def conditioning_probe(
         from .modes import build_mode_table
 
         table = build_mode_table(params, K)
-        cols = _flux_columns(params, table, degree, t, which)
-        A = np.column_stack(cols)
-        w = np.empty(t.size)
-        w[1:-1] = 0.5 * (t[2:] - t[:-2])
-        w[0] = 0.5 * (t[1] - t[0])
-        w[-1] = 0.5 * (t[-1] - t[-2])
-        Aw = A * np.sqrt(w)[:, None]
+        Aw, _ = _weighted_design(params, table, degree, t, which)
         s = np.linalg.svd(Aw, compute_uv=False)
         rows.append(
             ConditioningRow(

@@ -287,3 +287,80 @@ class TestConditioningProbe:
         r1 = conditioning_probe([0.6, 0.7], p, K=2, degree=1, data_grid=grid)
         r2 = conditioning_probe([0.6, 0.7], p, K=2, degree=1, data_grid=grid)
         assert all(a == b for a, b in zip(r1, r2))
+
+
+class TestKernelBlock:
+    """Forward solver and design matrix contract the same per-mode kernel block."""
+
+    @staticmethod
+    def _unknowns(K, M, which, seed):
+        # per-mode blocks in column order: f_(k,0..M), phi_k[, chi_(k,0..M), psi_k]
+        rng = np.random.default_rng(seed)
+        f = rng.normal(size=(K, M + 1)) + 1j * rng.normal(size=(K, M + 1))
+        phi = rng.normal(size=K) + 1j * rng.normal(size=K)
+        chi = rng.normal(size=(K, M + 1)) if which == "ip2" else np.zeros((K, M + 1))
+        psi = rng.normal(size=K) if which == "ip2" else np.zeros(K)
+        blocks = [np.r_[f[k], phi[k]] if which == "ip1" else np.r_[f[k], phi[k], chi[k], psi[k]] for k in range(K)]
+        src = SourceSpec(degree=M, t0=1.0, f_coeffs=f, chi_coeffs=chi)
+        return np.concatenate(blocks), SpectralField(phi), SpectralField(psi + 0j), src
+
+    @pytest.mark.parametrize(
+        "which, params",
+        [
+            ("ip1", ip1_params()),  # theta = a = b = 0: the w-kernels are skipped
+            ("ip2", ip2_params()),  # distinct roots
+            ("ip2", ip2_params(kappa=1.0, varkappa=1.0, a=0.5, b=-0.5, c=1.0, d=0.0)),  # coalescent roots
+        ],
+    )
+    def test_flux_of_solve_equals_design_matrix_product(self, which, params):
+        from fracflux.forward import _roots_coalesced
+        from fracflux.inverse import _flux_columns
+
+        K, M = 3, 2
+        table = build_mode_table(params, K)
+        if params.b < 0:
+            assert all(_roots_coalesced(lb, lh) for lb, lh in zip(table.lam_breve, table.lam_hat))
+        x, phi, psi, src = self._unknowns(K, M, which, seed=21)
+        grid = np.linspace(1.05, 2.95, 37)
+        h = boundary_flux(solve(params, table, phi, psi, src, grid), table).values
+        A = np.column_stack(_flux_columns(params, table, M, grid, which))
+        assert np.abs(h - A @ x).max() <= 1e-12 * np.abs(h).max()
+
+    @staticmethod
+    def _record_prabhakar(monkeypatch):
+        from fracflux import specfun
+
+        calls = []
+        original = specfun.prabhakar_diag
+
+        def counted(params, z, *args, **kwargs):
+            calls.append((params, np.asarray(z, dtype=complex).tobytes()))
+            return original(params, z, *args, **kwargs)
+
+        monkeypatch.setattr(specfun, "prabhakar_diag", counted)
+        return calls
+
+    def test_lsq_call_count_ip1(self, monkeypatch):
+        # grid entirely past t0: per mode E1 plus the full and the shifted
+        # convolution of every order 0..M, and nothing multiplied by zero
+        p = ip1_params()
+        K, M = 3, 2
+        table = build_mode_table(p, K)
+        grid = np.linspace(1.2, 2.8, 30)
+        data = FluxTrace(time_grid=grid, values=np.ones(30, dtype=complex))
+        calls = self._record_prabhakar(monkeypatch)
+        lsq_reconstruct(data, p, table, M, which="ip1")
+        assert len(calls) == K * (2 * (M + 1) + 1)
+        assert len(set(calls)) == len(calls)
+
+    def test_solve_evaluates_each_kernel_once(self, monkeypatch):
+        # coupled data on a grid on both sides of t0: every kernel is needed
+        p = ip2_params()
+        K, M = 3, 2
+        table = build_mode_table(p, K)
+        _, phi, psi, src = self._unknowns(K, M, "ip2", seed=5)
+        calls = self._record_prabhakar(monkeypatch)
+        solve(p, table, phi, psi, src, np.linspace(0.0, 2.9, 30))
+        # per mode: E1, the lam_hat half of q, and two kernels' full and shifted convolutions
+        assert len(calls) == K * (2 + 2 * 2 * (M + 1))
+        assert len(set(calls)) == len(calls)
