@@ -28,7 +28,7 @@ from . import inverse as inv
 from . import laplace as lap
 from .config import ConfigError, ExperimentConfig, load_config
 from .forward import FluxTrace, boundary_flux, solve
-from .modes import AdmissibilityError, ModeTable, build_mode_table, check_separation
+from .modes import AdmissibilityError, build_mode_table, check_separation
 from .specfun import AccuracyError, DomainError
 
 __all__ = ["main"]
@@ -144,26 +144,25 @@ def cmd_forward(args) -> int:
     return 0
 
 
-def _context_from(cfg: ExperimentConfig, table: ModeTable) -> lap.JumpContext:
-    problem = str(cfg.task.get("problem", "ip1" if cfg.model.a == 0.0 else "ip2"))
-    return lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source, problem)
-
-
 def _grid_spec(spec, default: tuple[float, float, int]) -> np.ndarray:
     if spec is None:
         lo, hi, n = default
     else:
-        parts = str(spec).split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"grid spec must be 'lo:hi:n', got {spec!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+        bad = ConfigError(f"grid spec must be 'lo:hi:n' with n >= 1, got {spec!r}")
+        try:
+            lo, hi, n = str(spec).split(":")  # ValueError unless exactly three parts
+            lo, hi, n = float(lo), float(hi), int(n)
+        except ValueError:
+            raise bad from None
+        if n < 1:
+            raise bad
     return np.linspace(lo, hi, n)
 
 
 def cmd_laplace_scan(args) -> int:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
-    ctx = _context_from(cfg, table)
+    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     res = _grid_spec(cfg.task.get("s_grid"), (0.5, 5.0, 10))
     ims = float(cfg.task.get("s_imag", 0.0))
     rows = []
@@ -179,7 +178,7 @@ def cmd_laplace_scan(args) -> int:
 def cmd_jump_scan(args) -> int:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
-    ctx = _context_from(cfg, table)
+    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     rhos = _grid_spec(cfg.task.get("rho_grid"), (0.5, 2.0, 10))
     rows = []
     for rho in rhos:
@@ -193,20 +192,22 @@ def cmd_jump_scan(args) -> int:
 def cmd_residues(args) -> int:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
-    ctx = _context_from(cfg, table)
+    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     modes_opt = cfg.task.get("modes")
-    if modes_opt is None:
-        modes = list(range(1, cfg.K + 1))
-    elif isinstance(modes_opt, str):
-        modes = [int(v) for v in modes_opt.split(",")]
-    else:
-        modes = [int(modes_opt)]
-    reports = []
-    for n in modes:
-        if ctx.problem == "ip1":
-            reports.append(inv.residue_ip1(ctx, n).to_json_dict())
+    try:
+        if modes_opt is None:
+            modes = list(range(1, cfg.K + 1))
+        elif isinstance(modes_opt, str):
+            modes = [int(v) for v in modes_opt.split(",")]
         else:
-            reports.append(inv.residue_ip2(ctx, n).to_json_dict())
+            modes = [int(modes_opt)]
+    except (TypeError, ValueError):
+        raise ConfigError(f"task.modes must list mode numbers, got {modes_opt!r}") from None
+    bad = [n for n in modes if not 1 <= n <= cfg.K]
+    if bad:
+        raise ConfigError(f"task.modes {bad} outside 1..disc.K = {cfg.K}")
+    residue = inv.residue_ip2 if cfg.model.coupled else inv.residue_ip1
+    reports = [residue(ctx, n).to_json_dict() for n in modes]
     _atomic_write(_out(args, "residues.json"), json.dumps(reports, sort_keys=True, indent=1) + "\n")
     _say(args, f"wrote residues.json ({len(reports)} reports) to {args.out}")
     return 0
@@ -231,9 +232,8 @@ def cmd_invert(args) -> int:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
     data = _read_flux_csv(args.data)
-    which = str(cfg.task.get("problem", "ip1" if cfg.model.a == 0.0 else "ip2"))
     mu = float(cfg.task.get("mu", 0.0))
-    result = inv.lsq_reconstruct(data, cfg.model, table, cfg.degree, mu=mu, which=which)
+    result = inv.lsq_reconstruct(data, cfg.model, table, cfg.degree, mu=mu)
     _atomic_write(_out(args, "inversion.json"), result.to_json() + "\n")
     _say(
         args,

@@ -180,6 +180,11 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError("data.noise must be >= 0")
 
     task = {k: _parse_scalar(v) for k, v in raw.get("task", {}).items()}
+    # the coupling decides the problem family; a leftover task.problem is
+    # accepted only where it agrees with model.a
+    family = "ip2" if model.coupled else "ip1"
+    if str(task.pop("problem", family)) != family:
+        raise ConfigError(f"task.problem must be {family!r} (or absent) when model.a = {model.a}")
     return ExperimentConfig(
         model=model,
         K=K,

@@ -145,30 +145,10 @@ def _E(alpha: float, beta: float, gamma: float, lam: float, tv: np.ndarray) -> n
     return prabhakar_array(PrabhakarParams(alpha, beta, gamma), -lam * ta)
 
 
-def _w_values(params: ModelParams, lam_breve: float, lam_hat: float, tv: np.ndarray) -> np.ndarray:
-    a = params.alpha
-    tv = np.asarray(tv, dtype=complex)
-    zero = tv == 0
-    if zero.any() and 2.0 * a - 1.0 <= 0.0:
-        raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
-    safe = np.where(zero, 1.0, tv)
-    if _roots_coalesced(lam_breve, lam_hat):
-        out = _principal_power_array(safe, 2.0 * a - 1.0) * _E(a, 2.0 * a, 2.0, lam_breve, safe)
-    else:
-        out = (
-            _principal_power_array(safe, a - 1.0)
-            * (_E(a, a, 1.0, lam_hat, safe) - _E(a, a, 1.0, lam_breve, safe))
-            / (lam_breve - lam_hat)
-        )
-    return np.where(zero, 0.0, out)
-
-
 def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[complex, complex]:
     """(q_k(z), w_k(z)): the divided-difference pair, coalescent branch when the roots merge."""
-    tv = np.asarray([complex(z)])
-    q = _KernelBlock(params, table, k, tv, params.t0).q[0]
-    w = _w_values(params, table.lam_breve[k - 1], table.lam_hat[k - 1], tv)[0]
-    return complex(q), complex(w)
+    block = _KernelBlock(params, table, k, np.asarray([complex(z)]), params.t0)
+    return complex(block.q[0]), complex(block.w[0])
 
 
 def _conv_full(alpha: float, lam: float, gamma_ml: float, j: int, tv: np.ndarray) -> np.ndarray:
@@ -237,6 +217,27 @@ class _KernelBlock:
         if self.coalesced:
             return _principal_power_array(self.tv, a) * _E(a, a + 1.0, 2.0, self.lb, self.tv)
         return (_E(a, 1.0, 1.0, self.lh, self.tv) - self.E1) / (self.lb - self.lh)
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Divided difference of t^(a-1) E_{a,a}(-lam t^a) over the two roots; set to 0 at t = 0.
+
+        At t = 0 it is singular for alpha <= 1/2, and then a grid holding 0 is refused.
+        """
+        a = self.alpha
+        zero = self.tv == 0
+        if zero.any() and 2.0 * a - 1.0 <= 0.0:
+            raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
+        safe = np.where(zero, 1.0, self.tv)
+        if self.coalesced:
+            out = _principal_power_array(safe, 2.0 * a - 1.0) * _E(a, 2.0 * a, 2.0, self.lb, safe)
+        else:
+            out = (
+                _principal_power_array(safe, a - 1.0)
+                * (_E(a, a, 1.0, self.lh, safe) - _E(a, a, 1.0, self.lb, safe))
+                / (self.lb - self.lh)
+            )
+        return np.where(zero, 0.0, out)
 
     def _conv(self, lam: float, gamma_ml: float, m: int) -> np.ndarray:
         memo = self._memo.setdefault((lam, gamma_ml), {})

@@ -16,7 +16,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -125,7 +124,7 @@ def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None 
     The closed form is e^(-i pi alpha) G_{n,1}(z_n^(1/alpha)) + z_n G_{n,2}(z_n^(1/alpha)).
     Other modes contribute no residue at z_n because the eigenvalues are simple.
     """
-    if ctx.problem != "ip1":
+    if ctx.params.coupled:
         raise ValueError("residue_ip1 needs an ip1 context (a = 0)")
     if not (1 <= n <= ctx.K):
         raise ValueError(f"mode {n} outside 1..{ctx.K}")
@@ -190,7 +189,7 @@ def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
     relations; coalescent roots give one double pole handled through the second
     contour moment.  Refuses when the cross-mode separation condition fails.
     """
-    if ctx.problem != "ip2":
+    if not ctx.params.coupled:
         raise ValueError("residue_ip2 needs an ip2 context (a != 0)")
     sep = check_separation(ctx.table)
     if sep.applicable and sep.violations:
@@ -295,11 +294,11 @@ class ReconstructionResult:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _flux_columns(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray, which: str):
+def _flux_columns(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray):
     """Unit-coefficient flux responses: gamma_k times u_k with one unknown set to 1.
 
-    Columns come in per-mode blocks: f_(k,0..M), phi_k and, for the coupled
-    problem, chi_(k,0..M), psi_k.  The columns of mode k contract one shared
+    Columns come in per-mode blocks: f_(k,0..M), phi_k and, when a != 0,
+    chi_(k,0..M), psi_k.  The columns of mode k contract one shared
     ``forward._KernelBlock``, so each of its kernels is evaluated at most once,
     and in the decoupled problem (q, cw_m unused) that is 2(M+1)+1 evaluations.
     """
@@ -308,27 +307,27 @@ def _flux_columns(params: ModelParams, table: ModeTable, degree: int, t: np.ndar
     for k in range(1, table.K + 1):
         block = _KernelBlock(params, table, k, tv, params.t0)
         gk = table.gamma_trace[k - 1]
-        for unit in np.eye(_unknowns_per_mode(degree, which), dtype=complex):
-            f_row, phi_k, chi_row, psi_k = _split_unknowns(unit, degree, which)
+        for unit in np.eye(_unknowns_per_mode(degree, params.coupled), dtype=complex):
+            f_row, phi_k, chi_row, psi_k = _split_unknowns(unit, degree, params.coupled)
             cols.append(gk * block.contract(phi_k, psi_k, f_row, chi_row)[0])
     return cols
 
 
-def _unknowns_per_mode(degree: int, which: str) -> int:
+def _unknowns_per_mode(degree: int, coupled: bool) -> int:
     """Length of one per-mode block in the column order of _flux_columns."""
-    return (degree + 1) + 1 if which == "ip1" else 2 * (degree + 1) + 2
+    return (2 if coupled else 1) * (degree + 2)
 
 
-def _split_unknowns(block: np.ndarray, M: int, which: str):
-    """(f_row, phi_k, chi_row, psi_k) from one per-mode block of unknowns; chi and psi are 0 for ip1."""
-    if which == "ip2":
+def _split_unknowns(block: np.ndarray, M: int, coupled: bool):
+    """(f_row, phi_k, chi_row, psi_k) from one per-mode block of unknowns; chi and psi are 0 when a = 0."""
+    if coupled:
         return block[: M + 1], block[M + 1], block[M + 2 : 2 * M + 3], block[2 * M + 3]
     return block[: M + 1], block[M + 1], np.zeros(M + 1, dtype=complex), 0.0
 
 
-def _weighted_design(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray, which: str):
+def _weighted_design(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray):
     """(A sqrt(w), sqrt(w)): the design matrix with rows scaled by trapezoid weights w on t."""
-    A = np.column_stack(_flux_columns(params, table, degree, t, which))
+    A = np.column_stack(_flux_columns(params, table, degree, t))
     w = np.empty(t.size)
     w[1:-1] = 0.5 * (t[2:] - t[:-2])
     w[0] = 0.5 * (t[1] - t[0])
@@ -348,22 +347,23 @@ def _legendre_to_monomial(t0: float, degree: int) -> np.ndarray:
     return T
 
 
-def _precondition_blocks(t0: float, degree: int, K: int, which: str) -> np.ndarray:
+def _precondition_blocks(t0: float, degree: int, K: int, coupled: bool) -> np.ndarray:
     """Block-diagonal right preconditioner: orthogonal source basis per mode.
 
     Monomials on (0, t0) are themselves badly conditioned; re-expressing each
     source block in shifted Legendre polynomials strips that part of the
     conditioning without changing the least-squares solution in exact
-    arithmetic.  Initial-state columns are left untouched.
+    arithmetic.  Initial-state columns are left untouched.  The diagonal
+    follows the per-mode layout of _split_unknowns: [T, 1] per mode, or
+    [T, 1, T, 1] when coupled.
     """
-    per = _unknowns_per_mode(degree, which)
-    T = _legendre_to_monomial(t0, degree)
-    B = np.eye(per * K, dtype=complex)
-    for k in range(K):
-        o = k * per
-        B[o : o + degree + 1, o : o + degree + 1] = T
-        if which == "ip2":
-            B[o + degree + 2 : o + 2 * degree + 3, o + degree + 2 : o + 2 * degree + 3] = T
+    n = degree + 2
+    P = np.eye(n)  # one source row and its initial state: [T, 1]
+    P[: n - 1, : n - 1] = _legendre_to_monomial(t0, degree)
+    size = n * K * (2 if coupled else 1)
+    B = np.zeros((size, size), dtype=complex)
+    for o in range(0, size, n):
+        B[o : o + n, o : o + n] = P
     return B
 
 
@@ -373,9 +373,12 @@ def lsq_reconstruct(
     table: ModeTable,
     degree: int,
     mu: float = 0.0,
-    which: Literal["ip1", "ip2"] = "ip1",
 ) -> ReconstructionResult:
     """Tikhonov-regularized least squares for (f, phi) or (f, chi, phi, psi).
+
+    The coupling fixes the unknowns: a = 0 (IP1) recovers (f, phi) and
+    a != 0 (IP2) recovers all four, after refusing with SeparationError when
+    the cross-mode root separation fails.
 
     The design matrix is the linear flux map, one column per unit coefficient.
     With mu > 0 the SVD filter x = V diag(s / (s^2 + mu)) U^H b acts on the raw
@@ -388,22 +391,17 @@ def lsq_reconstruct(
     """
     if mu < 0:
         raise ValueError("regularization must be >= 0")
-    if which == "ip1" and params.a != 0.0:
-        raise ValueError("ip1 reconstruction requires a = 0")
-    if which == "ip2":
-        if params.a == 0.0:
-            raise ValueError("ip2 reconstruction requires a != 0")
-        sep = check_separation(table)
-        if sep.applicable and sep.violations:
-            k, m, kind = sep.violations[0]
-            raise SeparationError(f"root separation fails for modes ({k}, {m}): {kind}")
+    sep = check_separation(table)
+    if sep.applicable and sep.violations:
+        k, m, kind = sep.violations[0]
+        raise SeparationError(f"root separation fails for modes ({k}, {m}): {kind}")
     t = np.asarray(data.time_grid, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two flux samples")
     if (t <= params.t0).any() or (t >= params.t1).any():
         raise DomainError("data grid must lie inside the observation window (t0, t1)")
 
-    Aw, sw = _weighted_design(params, table, degree, t, which)
+    Aw, sw = _weighted_design(params, table, degree, t)
     bw = np.asarray(data.values, dtype=complex) * sw
 
     s_raw = np.linalg.svd(Aw, compute_uv=False)
@@ -412,7 +410,7 @@ def lsq_reconstruct(
         # pure pseudo-inverse: preconditioning cannot change the solution in
         # exact arithmetic, so strip the monomial-basis and column-scale parts
         # of the conditioning before factorizing
-        B = _precondition_blocks(params.t0, degree, table.K, which)
+        B = _precondition_blocks(params.t0, degree, table.K, params.coupled)
         Ab = Aw @ B
         cn = np.linalg.norm(Ab, axis=0)
         cn[cn == 0] = 1.0
@@ -439,9 +437,9 @@ def lsq_reconstruct(
     chi_hat = np.zeros((K, M + 1), dtype=complex)
     phi_hat = np.zeros(K, dtype=complex)
     psi_hat = np.zeros(K, dtype=complex)
-    per = _unknowns_per_mode(M, which)
+    per = _unknowns_per_mode(M, params.coupled)
     for k in range(K):
-        f_hat[k], phi_hat[k], chi_hat[k], psi_hat[k] = _split_unknowns(x[k * per : (k + 1) * per], M, which)
+        f_hat[k], phi_hat[k], chi_hat[k], psi_hat[k] = _split_unknowns(x[k * per : (k + 1) * per], M, params.coupled)
     return ReconstructionResult(
         phi_hat=SpectralField(phi_hat),
         psi_hat=SpectralField(psi_hat),
@@ -467,7 +465,6 @@ def conditioning_probe(
     K: int,
     degree: int,
     data_grid,
-    which: Literal["ip1", "ip2"] = "ip1",
 ) -> list[ConditioningRow]:
     """Smallest singular value and condition number of the design matrix per alpha.
 
@@ -483,7 +480,7 @@ def conditioning_probe(
         from .modes import build_mode_table
 
         table = build_mode_table(params, K)
-        Aw, _ = _weighted_design(params, table, degree, t, which)
+        Aw, _ = _weighted_design(params, table, degree, t)
         s = np.linalg.svd(Aw, compute_uv=False)
         rows.append(
             ConditioningRow(

@@ -107,9 +107,10 @@ def _mode_transform_core(params, table, j, phi_k, psi_k, F, X, sa, sam1):
 class JumpContext:
     """Everything the jump/branch/residue machinery needs, frozen at build time.
 
-    ``problem`` selects the decoupled single-equation family (ip1, a = 0, two
-    R/G pairs per mode built on kappa lam_k + c) or the coupled family
-    (ip2, four pairs per mode built on the root pair lam_breve/lam_hat).
+    The coupling ``params.a`` fixes the family: a = 0 gives the decoupled
+    single-equation family (IP1, two R/G pairs per mode built on
+    kappa lam_k + c), a != 0 the coupled family (IP2, four pairs per mode
+    built on the root pair lam_breve/lam_hat).
     """
 
     params: ModelParams
@@ -117,7 +118,6 @@ class JumpContext:
     phi: np.ndarray
     psi: np.ndarray
     src: SourceSpec
-    problem: Literal["ip1", "ip2"]
 
     @property
     def alpha(self) -> float:
@@ -129,13 +129,13 @@ class JumpContext:
 
     @property
     def n_families(self) -> int:
-        return 2 if self.problem == "ip1" else 4
+        return 4 if self.params.coupled else 2
 
     # -- pole geometry ------------------------------------------------------
     def pole_radii(self, k: int) -> tuple[float, ...]:
         """Radii of the mode-k poles on the ray Arg z = pi (1 - alpha)."""
         j = k - 1
-        if self.problem == "ip1":
+        if not self.params.coupled:
             return (self.params.kappa * self.table.lam[j] + self.params.c,)
         return (float(self.table.lam_breve[j]), float(self.table.lam_hat[j]))
 
@@ -164,7 +164,7 @@ class JumpContext:
         """R_{k,j}(z): difference of the two cut-edge rational factors."""
         eplus = cmath.exp(1j * math.pi * self.alpha)
         eminus = cmath.exp(-1j * math.pi * self.alpha)
-        if self.problem == "ip1":
+        if not self.params.coupled:
             mu = self.params.kappa * self.table.lam[k - 1] + self.params.c
             if j == 1:
                 return 1.0 / (z * eplus + mu) - 1.0 / (z * eminus + mu)
@@ -198,25 +198,13 @@ class JumpContext:
             )
 
 
-def make_jump_context(
-    params: ModelParams,
-    table: ModeTable,
-    phi,
-    psi,
-    src: SourceSpec,
-    problem: Literal["ip1", "ip2"] = "ip2",
-) -> JumpContext:
-    if problem == "ip1" and params.a != 0.0:
-        raise ValueError("ip1 requires a = 0")
-    if problem == "ip2" and params.a == 0.0:
-        raise ValueError("ip2 requires a != 0")
+def make_jump_context(params: ModelParams, table: ModeTable, phi, psi, src: SourceSpec) -> JumpContext:
     return JumpContext(
         params=params,
         table=table,
         phi=as_coeffs(phi, table.K),
         psi=as_coeffs(psi, table.K),
         src=src,
-        problem=problem,
     )
 
 
@@ -239,7 +227,7 @@ def _tail_bounds(ctx: JumpContext, s_for_bound: complex) -> np.ndarray:
     l1 = (np.abs(ctx.src.f_coeffs).sum(axis=1) + np.abs(ctx.src.chi_coeffs).sum(axis=1)) * t0pow
     num = growth * l1 + np.abs(ctx.phi) + np.abs(ctx.psi)
     c1 = min(p.kappa, p.varkappa)
-    power = 1 if ctx.problem == "ip1" else 2
+    power = 2 if p.coupled else 1
     per_mode = np.abs(ctx.table.gamma_trace) * num / (c1 * ctx.table.lam * math.sin(math.pi * p.alpha)) ** power
     tails = np.cumsum(per_mode[::-1])[::-1]  # tails[j] = sum of modes j+1.. plus own
     return np.concatenate([tails[1:], [0.0]])

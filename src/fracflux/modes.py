@@ -15,7 +15,7 @@ ModeTable instances are immutable after construction; all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,6 +102,11 @@ class ModelParams:
                 f"minimum {worst:.6g} < 0 ({where})"
             )
 
+    @property
+    def coupled(self) -> bool:
+        """Whether the equations couple (a != 0): the IP2 family; a = 0 is the scalar IP1 family."""
+        return self.a != 0.0
+
     def discriminant(self, lam) -> np.ndarray:
         lam = np.asarray(lam, dtype=float)
         return ((self.kappa - self.varkappa) * lam + self.c - self.d) ** 2 + 4.0 * self.a * self.b
@@ -143,7 +148,6 @@ class ModeTable:
     lam_hat: np.ndarray
     theta: np.ndarray
     zeta: np.ndarray
-    multiplicity: np.ndarray = field(repr=False)
 
     def mode(self, k: int) -> dict:
         if not (1 <= k <= self.K):
@@ -157,7 +161,6 @@ class ModeTable:
             "lam_hat": float(self.lam_hat[j]),
             "theta": float(self.theta[j]),
             "zeta": float(self.zeta[j]),
-            "multiplicity": int(self.multiplicity[j]),
         }
 
 
@@ -191,8 +194,7 @@ def build_mode_table(params: ModelParams, K: int) -> ModeTable:
         theta = np.where(dd > 0, theta, np.where(zeta != 0, ab / zeta, 0.5 * (diff + dd)))
         zeta = np.where(dd > 0, np.where(theta != 0, ab / theta, 0.5 * (diff - dd)), zeta)
     gamma_trace = -_NORM * k
-    mult = np.ones(K, dtype=int)
-    for arr in (lam, gamma_trace, lam_breve, lam_hat, theta, zeta, mult):
+    for arr in (lam, gamma_trace, lam_breve, lam_hat, theta, zeta):
         arr.setflags(write=False)
     return ModeTable(
         params=params,
@@ -203,7 +205,6 @@ def build_mode_table(params: ModelParams, K: int) -> ModeTable:
         lam_hat=lam_hat,
         theta=theta,
         zeta=zeta,
-        multiplicity=mult,
     )
 
 
@@ -302,7 +303,7 @@ def check_separation(table: ModeTable, rel_tol: float = 1e-9) -> SeparationRepor
     and lam_hat_k != lam_breve_n across distinct modes.  With a = 0 the
     coupled problem decouples and the condition is not applicable.
     """
-    if table.params.a == 0.0:
+    if not table.params.coupled:
         return SeparationReport(applicable=False, rel_tol=rel_tol, violations=())
     violations = []
     br, ha = table.lam_breve, table.lam_hat

@@ -520,6 +520,21 @@ def _graded_jacobi_integral(smooth, weight_exp: float, upper: float, n_panels: i
 # ---------------------------------------------------------------------------
 
 
+def _gamma_series(n: int, w):
+    """sum_{j>=0} w^j / (n (n+1) ... (n+j)), so that gamma(n, w) = w^n e^-w times this sum.
+
+    Summed in the type of ``w`` until a term drops below 1e-20 of the total.
+    """
+    term = 1.0 / n
+    total = term
+    j = 0
+    while abs(term) > 1e-20 * abs(total) and j < 500:
+        j += 1
+        term *= w / (n + j)
+        total += term
+    return total
+
+
 def lower_incomplete_gamma(n: int, w: complex) -> complex:
     """gamma(n, w) = integral_0^w e^-u u^(n-1) du for integer n >= 1, complex w.
 
@@ -534,15 +549,7 @@ def lower_incomplete_gamma(n: int, w: complex) -> complex:
     if w == 0:
         return 0.0 + 0.0j
     if abs(w) <= 20.0:
-        # gamma(n, w) = w^n e^-w sum_{j>=0} w^j / (n (n+1) ... (n+j))
-        term = 1.0 / n
-        total = term
-        j = 0
-        while abs(term) > 1e-20 * abs(total) and j < 500:
-            j += 1
-            term *= w / (n + j)
-            total += term
-        return w**n * cmath.exp(-w) * total
+        return w**n * cmath.exp(-w) * _gamma_series(n, w)
     part = sum(w**j / math.factorial(j) for j in range(n))
     return math.factorial(n - 1) * (1.0 - cmath.exp(-w) * part)
 
@@ -568,14 +575,7 @@ def monomial_laplace_truncated(m: int, t0: float, s) -> complex | np.ndarray:
             out[i] = t0 ** (m + 1) / (m + 1)
         elif abs(w) <= 20.0:
             # gamma(m+1, w)/s^{m+1} via the series with the w^{m+1} factor absorbed
-            term = 1.0 / (m + 1)
-            total = term
-            j = 0
-            while abs(term) > 1e-20 * abs(total) and j < 500:
-                j += 1
-                term *= w / (m + 1 + j)
-                total += term
-            out[i] = t0 ** (m + 1) * cmath.exp(-w) * total
+            out[i] = t0 ** (m + 1) * cmath.exp(-w) * _gamma_series(m + 1, w)
         else:
             out[i] = lower_incomplete_gamma(m + 1, w) / sv ** (m + 1)
     return out if np.ndim(s) else complex(out.ravel()[0])

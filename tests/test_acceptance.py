@@ -181,7 +181,7 @@ def test_criterion_05_transform_consistency():
     phi = rng.normal(size=K)
     psi = rng.normal(size=K)
     src = SourceSpec(degree=2, t0=p.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=rng.normal(size=(K, 3)))
-    ctx = make_jump_context(p, t, phi, psi, src, "ip2")
+    ctx = make_jump_context(p, t, phi, psi, src)
     svals = np.linspace(0.5, 5.0, 10)
     ref = flux_transform_by_quadrature(p, t, phi, psi, src, svals, T=100.0)
     got = np.array([flux_transform(ctx, s) for s in svals])
@@ -198,7 +198,7 @@ def test_criterion_06_jump_equivalence():
     t = build_mode_table(p, K)
     rng = np.random.default_rng(5)
     src = SourceSpec(degree=2, t0=p.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=rng.normal(size=(K, 3)))
-    ctx = make_jump_context(p, t, rng.normal(size=K), rng.normal(size=K), src, "ip2")
+    ctx = make_jump_context(p, t, rng.normal(size=K), rng.normal(size=K), src)
     worst = 0.0
     for rho in np.geomspace(0.3, 4.0, 10):
         r = rho ** (1.0 / p.alpha)
@@ -222,7 +222,7 @@ def test_criterion_07_residue_identities():
     rng = np.random.default_rng(7)
     phi = rng.normal(size=K)
     src1 = SourceSpec(degree=2, t0=p1.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=np.zeros((K, 3)))
-    ctx1 = make_jump_context(p1, t1, phi, np.zeros(K), src1, "ip1")
+    ctx1 = make_jump_context(p1, t1, phi, np.zeros(K), src1)
     e_ip1 = max(residue_ip1(ctx1, n).rel_error for n in range(1, 9))
 
     phi_off = phi.copy()
@@ -230,14 +230,14 @@ def test_criterion_07_residue_identities():
     f_off = src1.f_coeffs.copy()
     f_off[2] = 0.0
     ctx_off = make_jump_context(
-        p1, t1, phi_off, np.zeros(K), SourceSpec(degree=2, t0=p1.t0, f_coeffs=f_off, chi_coeffs=np.zeros((K, 3))), "ip1"
+        p1, t1, phi_off, np.zeros(K), SourceSpec(degree=2, t0=p1.t0, f_coeffs=f_off, chi_coeffs=np.zeros((K, 3)))
     )
     e_off = abs(residue_ip1(ctx_off, 3).contour_value)
 
     p2 = coupled_params()
     t2 = build_mode_table(p2, K)
     src2 = SourceSpec(degree=2, t0=p2.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=rng.normal(size=(K, 3)))
-    ctx2 = make_jump_context(p2, t2, rng.normal(size=K), rng.normal(size=K), src2, "ip2")
+    ctx2 = make_jump_context(p2, t2, rng.normal(size=K), rng.normal(size=K), src2)
     e_ip2 = 0.0
     e_rel = 0.0
     for n in range(1, 9):
@@ -268,7 +268,7 @@ def test_criterion_08a_inverse_crime_decoupled():
     grid = p.t0 + (p.t1 - p.t0) * np.geomspace(1e-4, 1.0, 401)[:-1]
     traj = solve(p, t, phi, SpectralField.zero(K), src, grid)
     data = boundary_flux(traj, t)
-    res = lsq_reconstruct(data, p, t, M, mu=0.0, which="ip1")
+    res = lsq_reconstruct(data, p, t, M, mu=0.0)
     scale = max(np.abs(f).max(), np.abs(phi.coeffs).max())
     err = max(
         float(np.abs(res.f_hat.f_coeffs - f).max()), float(np.abs(res.phi_hat.coeffs - phi.coeffs).max())
@@ -308,7 +308,7 @@ def test_criterion_08b_inverse_crime_coupled():
     grid = p.t0 + (p.t1 - p.t0) * np.geomspace(1e-4, 1.0, 401)[:-1]
     traj = solve(p, t, phi, psi, src, grid)
     data = boundary_flux(traj, t)
-    res = lsq_reconstruct(data, p, t, M, mu=0.0, which="ip2")
+    res = lsq_reconstruct(data, p, t, M, mu=0.0)
     scale = max(np.abs(f).max(), np.abs(chi).max(), np.abs(phi.coeffs).max(), np.abs(psi.coeffs).max())
     err = max(
         float(np.abs(res.f_hat.f_coeffs - f).max()),

@@ -4,6 +4,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from fracflux.cli import main
 
@@ -143,6 +144,40 @@ class TestInvertRoundTrip:
     def test_bad_header_exit_2(self, tmp_path):
         bad = write(tmp_path, "bad.csv", "time,flux\n1.0,2.0\n")
         assert main(["invert", CRIME, bad, "--out", str(tmp_path), "--quiet"]) == 2
+
+
+class TestTaskOptions:
+    """model.a decides the problem family; task keys that contradict it or the mode range exit 2."""
+
+    def test_agreeing_leftover_problem_accepted(self, tmp_path):
+        cfg = write(tmp_path, "old.cfg", pathlib.Path(DEMO).read_text() + "task.problem = ip2\n")
+        assert main(["validate", cfg, "--quiet"]) == 0
+
+    def test_disagreeing_problem_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "ip2.cfg", pathlib.Path(CRIME).read_text() + "task.problem = ip2\n")
+        assert main(["residues", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert "task.problem" in capsys.readouterr().err
+
+    def test_misspelled_problem_exit_2(self, tmp_path):
+        cfg = write(tmp_path, "ip3.cfg", pathlib.Path(DEMO).read_text() + "task.problem = ip3\n")
+        flux = write(tmp_path, "flux.csv", "t,re_h,im_h\n1.5,0.0,0.0\n2.0,0.0,0.0\n")
+        assert main(["jump-scan", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert main(["invert", cfg, flux, "--out", str(tmp_path), "--quiet"]) == 2
+        assert not (tmp_path / "jump_scan.csv").exists()
+        assert not (tmp_path / "inversion.json").exists()
+
+    @pytest.mark.parametrize("modes", ["9", "0", "1,5", "x", "1j"])
+    def test_modes_outside_range_exit_2(self, tmp_path, capsys, modes):
+        cfg = write(tmp_path, "modes.cfg", pathlib.Path(DEMO).read_text() + f"task.modes = {modes}\n")
+        assert main(["residues", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert "task.modes" in capsys.readouterr().err
+        assert not (tmp_path / "residues.json").exists()
+
+    @pytest.mark.parametrize("grid", ["1:2:x", "1:2", "1:2:0", "a:2:3"])
+    def test_malformed_grid_spec_exit_2(self, tmp_path, capsys, grid):
+        cfg = write(tmp_path, "grid.cfg", pathlib.Path(DEMO).read_text() + f"task.s_grid = {grid}\n")
+        assert main(["laplace-scan", cfg, "--out", str(tmp_path), "--quiet"]) == 2
+        assert "grid spec" in capsys.readouterr().err
 
 
 class TestSpecfunCheck:

@@ -37,7 +37,7 @@ def ip1_ctx(K=5, seed=0, **kw):
     rng = np.random.default_rng(seed)
     phi = rng.normal(size=K)
     src = SourceSpec(degree=2, t0=p.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=np.zeros((K, 3)))
-    return make_jump_context(p, t, phi, np.zeros(K), src, "ip1"), p, t, phi, src
+    return make_jump_context(p, t, phi, np.zeros(K), src), p, t, phi, src
 
 
 def ip2_ctx(K=5, seed=0, **kw):
@@ -46,13 +46,13 @@ def ip2_ctx(K=5, seed=0, **kw):
     rng = np.random.default_rng(seed)
     phi, psi = rng.normal(size=K), rng.normal(size=K)
     src = SourceSpec(degree=2, t0=p.t0, f_coeffs=rng.normal(size=(K, 3)), chi_coeffs=rng.normal(size=(K, 3)))
-    return make_jump_context(p, t, phi, psi, src, "ip2"), p, t, phi, psi, src
+    return make_jump_context(p, t, phi, psi, src), p, t, phi, psi, src
 
 
 class TestResidueIp1:
     def test_zero_data_both_zero(self):
         _, p, t, *_ = ip1_ctx()
-        ctx = make_jump_context(p, t, np.zeros(5), np.zeros(5), SourceSpec.zero(5, 2, p.t0), "ip1")
+        ctx = make_jump_context(p, t, np.zeros(5), np.zeros(5), SourceSpec.zero(5, 2, p.t0))
         rep = residue_ip1(ctx, 2)
         assert rep.contour_value == 0 and rep.closed_form == 0
 
@@ -63,7 +63,7 @@ class TestResidueIp1:
         phi[2] = 1.3
         f = np.zeros((4, 3))
         f[2] = [0.5, -0.2, 0.1]
-        ctx = make_jump_context(p, t, phi, np.zeros(4), SourceSpec(degree=2, t0=p.t0, f_coeffs=f, chi_coeffs=np.zeros((4, 3))), "ip1")
+        ctx = make_jump_context(p, t, phi, np.zeros(4), SourceSpec(degree=2, t0=p.t0, f_coeffs=f, chi_coeffs=np.zeros((4, 3))))
         rep = residue_ip1(ctx, 3)
         assert rep.rel_error < 1e-6
 
@@ -78,7 +78,7 @@ class TestResidueIp1:
         phi2[2] = 0.0
         f2 = src.f_coeffs.copy()
         f2[2] = 0.0
-        ctx2 = make_jump_context(p, t, phi2, np.zeros(5), SourceSpec(degree=2, t0=p.t0, f_coeffs=f2, chi_coeffs=np.zeros((5, 3))), "ip1")
+        ctx2 = make_jump_context(p, t, phi2, np.zeros(5), SourceSpec(degree=2, t0=p.t0, f_coeffs=f2, chi_coeffs=np.zeros((5, 3))))
         rep = residue_ip1(ctx2, 3)
         assert abs(rep.contour_value) < 1e-8
 
@@ -98,7 +98,7 @@ class TestResidueIp1:
 class TestResidueIp2:
     def test_zero_data(self):
         _, p, t, *_ = ip2_ctx()
-        ctx = make_jump_context(p, t, np.zeros(5), np.zeros(5), SourceSpec.zero(5, 2, p.t0), "ip2")
+        ctx = make_jump_context(p, t, np.zeros(5), np.zeros(5), SourceSpec.zero(5, 2, p.t0))
         rr = residue_ip2(ctx, 1)
         assert rr.report_breve.contour_value == 0
         assert rr.report_hat.contour_value == 0
@@ -135,7 +135,7 @@ class TestResidueIp2:
         assert np.all(t.lam_breve == t.lam_hat)
         rng = np.random.default_rng(5)
         src = SourceSpec(degree=1, t0=p.t0, f_coeffs=rng.normal(size=(4, 2)), chi_coeffs=rng.normal(size=(4, 2)))
-        ctx = make_jump_context(p, t, rng.normal(size=4), rng.normal(size=4), src, "ip2")
+        ctx = make_jump_context(p, t, rng.normal(size=4), rng.normal(size=4), src)
         rr = residue_ip2(ctx, 2)
         assert rr.coalescent and rr.report_hat is None
         assert rr.report_breve.order == 2
@@ -145,7 +145,7 @@ class TestResidueIp2:
         # b = 0, c = 0, d = 3 collides modes (2, 1)
         p = ip2_params(kappa=1.0, varkappa=1.0, a=1.0, b=0.0, c=0.0, d=3.0)
         t = build_mode_table(p, 5)
-        ctx = make_jump_context(p, t, np.ones(5), np.ones(5), SourceSpec.zero(5, 1, p.t0), "ip2")
+        ctx = make_jump_context(p, t, np.ones(5), np.ones(5), SourceSpec.zero(5, 1, p.t0))
         with pytest.raises(SeparationError, match=r"\(.*\)"):
             residue_ip2(ctx, 1)
 
@@ -166,7 +166,7 @@ class TestLsqReconstruct:
         f = rng.normal(size=(K, M + 1))
         src = SourceSpec(degree=M, t0=p.t0, f_coeffs=f, chi_coeffs=np.zeros((K, M + 1)))
         data = self._simulate(p, table, phi, SpectralField.zero(K), src)
-        res = lsq_reconstruct(data, p, table, M, mu=0.0, which="ip1")
+        res = lsq_reconstruct(data, p, table, M, mu=0.0)
         scale = max(np.abs(f).max(), np.abs(phi.coeffs).max())
         err = max(
             np.abs(res.f_hat.f_coeffs - f).max(), np.abs(res.phi_hat.coeffs - phi.coeffs).max()
@@ -181,7 +181,7 @@ class TestLsqReconstruct:
         table = build_mode_table(p, 3)
         grid = np.linspace(1.2, 2.8, 50)
         data = FluxTrace(time_grid=grid, values=np.zeros(50, dtype=complex))
-        res = lsq_reconstruct(data, p, table, 2, mu=1e-6, which="ip1")
+        res = lsq_reconstruct(data, p, table, 2, mu=1e-6)
         assert np.all(res.f_hat.f_coeffs == 0)
         assert np.all(res.phi_hat.coeffs == 0)
 
@@ -196,7 +196,7 @@ class TestLsqReconstruct:
         noisy = data.values + 1e-3 * np.sqrt(np.mean(np.abs(data.values) ** 2)) * rng.standard_normal(200)
         misfits = []
         for mu in (1e-10, 1e-6, 1e-2):
-            r = lsq_reconstruct(FluxTrace(data.time_grid, noisy), p, table, M, mu=mu, which="ip1")
+            r = lsq_reconstruct(FluxTrace(data.time_grid, noisy), p, table, M, mu=mu)
             misfits.append(r.residual_norm)
             assert r.regularization == mu
         assert misfits[0] <= misfits[1] <= misfits[2]  # misfit grows with mu
@@ -206,7 +206,7 @@ class TestLsqReconstruct:
         table = build_mode_table(p, 5)
         data = FluxTrace(time_grid=np.linspace(1.2, 2.8, 30), values=np.zeros(30, dtype=complex))
         with pytest.raises(SeparationError):
-            lsq_reconstruct(data, p, table, 1, which="ip2")
+            lsq_reconstruct(data, p, table, 1)
 
     def test_ip2_small_recovery(self):
         # small coupled instance: exact recovery is conditioning-limited, so
@@ -219,7 +219,7 @@ class TestLsqReconstruct:
         psi = SpectralField(rng.normal(size=K) + 0j)
         src = SourceSpec(degree=M, t0=p.t0, f_coeffs=rng.normal(size=(K, M + 1)), chi_coeffs=rng.normal(size=(K, M + 1)))
         data = self._simulate(p, table, phi, psi, src, n=300)
-        res = lsq_reconstruct(data, p, table, M, mu=0.0, which="ip2")
+        res = lsq_reconstruct(data, p, table, M, mu=0.0)
         scale = np.abs(phi.coeffs).max()
         err = max(
             np.abs(res.f_hat.f_coeffs - src.f_coeffs).max(),
@@ -235,7 +235,7 @@ class TestLsqReconstruct:
         p = ip1_params()
         table = build_mode_table(p, 2)
         data = FluxTrace(time_grid=np.linspace(1.2, 2.8, 30), values=np.zeros(30, dtype=complex))
-        res = lsq_reconstruct(data, p, table, 1, mu=1e-8, which="ip1")
+        res = lsq_reconstruct(data, p, table, 1, mu=1e-8)
         parsed = json.loads(res.to_json())
         assert set(parsed) == {
             "phi_hat",
@@ -253,7 +253,7 @@ class TestLsqReconstruct:
         table = build_mode_table(p, 2)
         data = FluxTrace(time_grid=np.linspace(0.5, 2.0, 30), values=np.zeros(30, dtype=complex))
         with pytest.raises(Exception):
-            lsq_reconstruct(data, p, table, 1, which="ip1")
+            lsq_reconstruct(data, p, table, 1)
 
 
 class TestConditioningProbe:
@@ -272,7 +272,7 @@ class TestConditioningProbe:
         from fracflux.inverse import _flux_columns
 
         table = build_mode_table(p, 1)
-        cols = _flux_columns(p, table, 0, grid, "ip1")
+        cols = _flux_columns(p, table, 0, grid)
         A = np.column_stack(cols)
         w = np.empty(grid.size)
         w[1:-1] = 0.5 * (grid[2:] - grid[:-2])
@@ -323,7 +323,7 @@ class TestKernelBlock:
         x, phi, psi, src = self._unknowns(K, M, which, seed=21)
         grid = np.linspace(1.05, 2.95, 37)
         h = boundary_flux(solve(params, table, phi, psi, src, grid), table).values
-        A = np.column_stack(_flux_columns(params, table, M, grid, which))
+        A = np.column_stack(_flux_columns(params, table, M, grid))
         assert np.abs(h - A @ x).max() <= 1e-12 * np.abs(h).max()
 
     @staticmethod
@@ -349,7 +349,7 @@ class TestKernelBlock:
         grid = np.linspace(1.2, 2.8, 30)
         data = FluxTrace(time_grid=grid, values=np.ones(30, dtype=complex))
         calls = self._record_prabhakar(monkeypatch)
-        lsq_reconstruct(data, p, table, M, which="ip1")
+        lsq_reconstruct(data, p, table, M)
         assert len(calls) == K * (2 * (M + 1) + 1)
         assert len(set(calls)) == len(calls)
 

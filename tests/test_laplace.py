@@ -48,7 +48,7 @@ def make_ctx(problem="ip2", K=4, seed=0, **kw):
         f_coeffs=rng.normal(size=(K, 3)),
         chi_coeffs=rng.normal(size=(K, 3)) if problem == "ip2" else np.zeros((K, 3)),
     )
-    return make_jump_context(p, t, phi, psi, src, problem), p, t, phi, psi, src
+    return make_jump_context(p, t, phi, psi, src), p, t, phi, psi, src
 
 
 class TestModeTransform:
@@ -100,7 +100,7 @@ class TestFluxTransform:
     def test_zero_data(self):
         ctx, *_ = make_ctx(seed=1)
         zero_ctx = make_jump_context(
-            ctx.params, ctx.table, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, ctx.params.t0), "ip2"
+            ctx.params, ctx.table, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, ctx.params.t0)
         )
         assert flux_transform(zero_ctx, 2.0) == 0
 
@@ -123,7 +123,7 @@ class TestFluxTransform:
 class TestJump:
     def test_zero_data(self):
         ctx, p, t, *_ = make_ctx()
-        zero_ctx = make_jump_context(p, t, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0), "ip2")
+        zero_ctx = make_jump_context(p, t, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0))
         for rho in (0.5, 1.0, 2.0):
             assert jump(zero_ctx, rho) == 0
 
@@ -162,7 +162,7 @@ class TestBranchFunction:
 
     def test_zero_data_all_branches(self):
         ctx, p, t, *_ = make_ctx()
-        zero_ctx = make_jump_context(p, t, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0), "ip2")
+        zero_ctx = make_jump_context(p, t, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0))
         for n in (0, 1, 5, 20):
             assert q_branch(zero_ctx, n, 1.3) == 0
 

@@ -78,7 +78,6 @@ class TestModeTable:
     def test_eigenvalues_and_multiplicity(self):
         t = build_mode_table(coupled_params(), 10)
         assert np.array_equal(t.lam, np.arange(1, 11) ** 2)
-        assert np.array_equal(t.multiplicity, np.ones(10, dtype=int))
 
     def test_factorization_identity_random_s(self):
         p = coupled_params()
