@@ -34,6 +34,24 @@ def _parse_scalar(text: str):
     return text
 
 
+def _real(section: dict, key: str, default: str) -> float:
+    """The value of ``key`` ('section.name') in its parsed section, as a real number."""
+    text = section.get(key.split(".", 1)[1], default)
+    value = _parse_scalar(text)
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a real number, got {text!r}")
+    return float(value)
+
+
+def _integer(section: dict, key: str, default: str) -> int:
+    """The value of ``key`` ('section.name') in its parsed section, as an integer."""
+    text = section.get(key.split(".", 1)[1], default)
+    value = _parse_scalar(text)
+    if not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{key} must be an integer, got {text!r}")
+    return int(value)
+
+
 def _parse_list(text: str) -> list:
     return [_parse_scalar(p) for p in text.split(",") if p.strip()]
 
@@ -70,6 +88,19 @@ _PRESETS = {
     "parabola": lambda x: x * (math.pi - x),
     # a single-hump bump shifted off center
     "offcenter": lambda x: np.sin(x) * np.exp(-((x - 1.0) ** 2)),
+}
+
+
+_MODEL_DEFAULTS = {
+    "alpha": "0.7",
+    "kappa": "1.0",
+    "varkappa": "1.0",
+    "a": "0.0",
+    "b": "0.0",
+    "c": "0.0",
+    "d": "0.0",
+    "t0": "1.0",
+    "t1": "2.0",
 }
 
 
@@ -138,28 +169,19 @@ def _source_table(data: dict, key: str, K: int, degree: int, t0: float) -> np.nd
 def load_config(text: str) -> ExperimentConfig:
     raw = parse_config(text)
     model_raw = raw.get("model", {})
+    coeffs = {name: _real(model_raw, f"model.{name}", default) for name, default in _MODEL_DEFAULTS.items()}
     try:
-        model = ModelParams(
-            alpha=float(_parse_scalar(model_raw.get("alpha", "0.7"))),
-            kappa=float(_parse_scalar(model_raw.get("kappa", "1.0"))),
-            varkappa=float(_parse_scalar(model_raw.get("varkappa", "1.0"))),
-            a=float(_parse_scalar(model_raw.get("a", "0.0"))),
-            b=float(_parse_scalar(model_raw.get("b", "0.0"))),
-            c=float(_parse_scalar(model_raw.get("c", "0.0"))),
-            d=float(_parse_scalar(model_raw.get("d", "0.0"))),
-            t0=float(_parse_scalar(model_raw.get("t0", "1.0"))),
-            t1=float(_parse_scalar(model_raw.get("t1", "2.0"))),
-        )
-    except (TypeError, ValueError) as exc:
+        model = ModelParams(**coeffs)
+    except ValueError as exc:
         # AdmissibilityError subclasses ValueError; keep its message verbatim
         raise ConfigError(str(exc)) from exc
 
     disc = raw.get("disc", {})
-    K = int(_parse_scalar(disc.get("K", "5")))
-    degree = int(_parse_scalar(disc.get("M", "3")))
-    t_points = int(_parse_scalar(disc.get("t_points", "201")))
+    K = _integer(disc, "disc.K", "5")
+    degree = _integer(disc, "disc.M", "3")
+    t_points = _integer(disc, "disc.t_points", "201")
     t_grid_kind = str(disc.get("t_grid", "uniform"))
-    x_points = int(_parse_scalar(disc.get("x_points", "101")))
+    x_points = _integer(disc, "disc.x_points", "101")
     if K < 1 or degree < 0 or t_points < 2 or x_points < 2:
         raise ConfigError("disc.K >= 1, disc.M >= 0, disc.t_points >= 2, disc.x_points >= 2 required")
     if t_grid_kind not in ("uniform", "geometric"):
@@ -174,8 +196,8 @@ def load_config(text: str) -> ExperimentConfig:
         f_coeffs=_source_table(data, "f", K, degree, model.t0),
         chi_coeffs=_source_table(data, "chi", K, degree, model.t0),
     )
-    noise = float(_parse_scalar(data.get("noise", "0.0")))
-    seed = int(_parse_scalar(data.get("seed", "0")))
+    noise = _real(data, "data.noise", "0.0")
+    seed = _integer(data, "data.seed", "0")
     if noise < 0:
         raise ConfigError("data.noise must be >= 0")
 

@@ -180,6 +180,35 @@ class TestTaskOptions:
         assert "grid spec" in capsys.readouterr().err
 
 
+class TestConfigValues:
+    """A numeric config key with a value of the wrong kind exits 2 and names the key and the value."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "disc.K = 2.5",
+            "disc.K = x",
+            "disc.M = 1.5",
+            "disc.t_points = 200.5",
+            "disc.x_points = 1j",
+            "data.seed = 0.5",
+            "data.noise = x",
+            "data.noise = 1j",
+            "model.alpha = x",
+        ],
+    )
+    def test_wrong_kind_exit_2(self, tmp_path, capsys, line):
+        cfg = write(tmp_path, "kind.cfg", pathlib.Path(DEMO).read_text() + line + "\n")
+        assert main(["validate", cfg, "--quiet"]) == 2
+        key, value = (part.strip() for part in line.split("="))
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = write(tmp_path, "float.cfg", pathlib.Path(DEMO).read_text() + "disc.K = 4.0\ndata.seed = 1e1\n")
+        assert main(["validate", cfg, "--quiet"]) == 0
+
+
 class TestSpecfunCheck:
     def test_identity_suite_passes(self, capsys):
         assert main(["specfun-check", "--quiet"]) == 0

@@ -1,6 +1,7 @@
 """Closed-form solver: mode solutions, flux, residual self-check, complex extension."""
 
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from fracflux.forward import (
 )
 from fracflux.modes import ModelParams, SpectralField, build_mode_table
 from fracflux.specfun import DomainError, PrabhakarParams, prabhakar, prabhakar_array
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def decoupled_params(**kw):
@@ -361,6 +364,30 @@ class TestExtendComplex:
             u_c, _ = extend_complex(p, t, phi, psi, src, nodes)
             u_0, _ = extend_complex(p, t, phi, psi, src, z0)
             assert np.abs(u_c.mean(axis=1) - u_0).max() < 1e-6
+
+    def test_sector_lattice_needs_no_mpmath(self, monkeypatch):
+        # the pole of (s^alpha + xi)^(-gamma) crosses the contour route's fixed
+        # parabola inside this lattice; those points once fell back to mpmath
+        from fracflux import specfun
+        from fracflux.config import load_config
+
+        cfg = load_config((ROOT / "configs" / "demo.cfg").read_text())
+        p = cfg.model
+        theta_max = min(math.pi, (2.0 - p.alpha) * math.pi / (2.0 * p.alpha))
+        r = 0.1 * 20.0 ** ((np.arange(12) + 0.5) / 12)
+        theta = 0.9 * theta_max * (2.0 * (np.arange(20) + 0.5) / 20 - 1.0)
+        zs = (p.t0 + r[:, None] * np.exp(1j * theta[None, :])).ravel()
+        calls = []
+        original = specfun._mp_series_scalar
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(specfun, "_mp_series_scalar", counted)
+        u, v = extend_complex(p, build_mode_table(p, cfg.K), cfg.phi, cfg.psi, cfg.source, zs)
+        assert np.isfinite(u).all() and np.isfinite(v).all()
+        assert not calls, f"{len(calls)} points fell back to mpmath"
 
     def test_sector_enforced(self):
         p = coupled_params(alpha=0.8)

@@ -73,6 +73,9 @@ class TestPrabhakarValues:
         with pytest.raises(AccuracyError) as exc:
             prabhakar(p, 1.0e4)
         assert exc.value.error_estimate is not None
+        # an exit-3 message names the kernel as well as the argument
+        assert "(alpha, beta, gamma) = (0.3, 1.0, 1.0)" in str(exc.value)
+        assert "z=(10000+0j)" in str(exc.value)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -97,6 +100,40 @@ def test_conjugation_symmetry(alpha, r, ang, gamma):
     up = prabhakar(p, z)
     dn = prabhakar(p, np.conj(z))
     assert up == pytest.approx(np.conj(dn), rel=0, abs=0)  # exact by construction
+
+
+class TestPoleBand:
+    """Arguments whose pole s* of (s^alpha + xi)^(-gamma), xi = -z, lies near the
+    contour route's fixed parabola: Re sqrt(s*) from 0.5 to 1.5 times sqrt(2 pi),
+    Arg(-z) up to 0.99 of the half-angle, over the solver's beta range
+    alpha .. 2 alpha + M + 1 (M = 3)."""
+
+    @staticmethod
+    def band(alpha):
+        half = (2.0 - alpha) * math.pi / 2.0
+        zs = []
+        for phi in np.linspace((1.0 - alpha) * math.pi + 0.02, 0.99 * half, 4):
+            arg_pole = (phi - math.pi) / alpha
+            for rel in np.linspace(0.5, 1.5, 5):  # rel = 1 puts s* on the parabola
+                pole = 2.0 * math.pi * rel**2 / math.cos(arg_pole / 2.0) ** 2
+                if pole <= 36.0:  # |z|^(1/alpha) bounds the cost of the reference series
+                    zs.append(-(pole**alpha) * np.exp(1j * phi))
+        return np.array(zs)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9, 0.99])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_values_and_contour_estimates(self, alpha, gamma):
+        from fracflux.specfun import TARGET, _contour_route
+
+        zs = self.band(alpha)
+        for beta in np.linspace(alpha, 2.0 * alpha + 4.0, 3):
+            vals, _ = prabhakar_diag(PrabhakarParams(alpha, beta, gamma), zs)
+            cvals, cest = _contour_route(alpha, beta, gamma, zs)
+            assert (cest <= TARGET).all()  # no point of the band needs the mpmath fallback
+            for z, v, cv, ce in zip(zs, vals, cvals, cest):
+                ref = prabhakar_reference(alpha, beta, gamma, z)
+                assert abs(v - ref) <= 1e-10 * abs(ref)
+                assert abs(cv - ref) <= ce * abs(ref)
 
 
 class TestDerivativeRecurrences:
