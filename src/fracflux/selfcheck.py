@@ -6,6 +6,7 @@ any failure to exit code 3.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -63,6 +64,23 @@ def specfun_identity_suite() -> list[tuple[bool, str]]:
     dn = prabhakar_array(p, zs.conj())
     err = float(np.max(np.abs(up.conj() - dn)))
     checks.append((err == 0.0, f"conjugation symmetry: max abs asymmetry {err:.2e} (tol exact)"))
+
+    # sector-edge small argument: the asymptotic route runs first, so it must
+    # decline this point, where its pole term (~1e41) cancels against the
+    # branch-cut integral and its estimate once read 1.6e-39
+    alpha, beta = 0.1, 4.2
+    z = -0.05 * cmath.exp(0.98j * (2.0 - alpha) * math.pi / 2.0)
+    series = sum(z**n / math.gamma(alpha * n + beta) for n in range(30))
+    got = prabhakar_array(PrabhakarParams(alpha, beta, 1.0), np.array([z]))[0]
+    err = abs(got - series) / abs(series)
+    checks.append(
+        (
+            err <= 1e-10,
+            f"sector-edge small argument (0.1, 4.2, 1) at |z| = 0.05: rel err {err:.2e} vs truncated series "
+            "(tol 1e-10); guards the route order zero, asymptotic (only where |z|^(1/alpha) >= 4), "
+            "series, contour, mpmath",
+        )
+    )
 
     # Laplace-transform identity (small probe; the acceptance suite runs the full grid)
     res = laplace_identity_residual(PrabhakarParams(0.6, 1.0, 1.0), lam=2.0, s=1.0 + 0.0j, t_cut=60.0)

@@ -2,19 +2,29 @@
 
 The evaluator targets the arguments produced by the spectral solver: ``-lam * t**alpha``
 with ``lam > 0`` and ``t`` real positive or complex inside the sector where the solution
-extends analytically.  Three double-precision routes are combined, each with an internal
-error estimate, and a slow arbitrary-precision series is kept as a last resort:
+extends analytically.  Three double-precision routes, each with an internal error
+estimate, are tried in a fixed order, each on the points the previous ones left, and
+a slow arbitrary-precision series is kept as a last resort:
 
-* power series (compensated summation) for small arguments,
-* algebraic asymptotic expansion plus the exponential (pole) term for large arguments,
-* numerical inversion of the Laplace-transform identity
-  ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
-  on a parabolic contour for the middle range.  Each point takes its parabola from
-  the pole of ``(s^a + lam)^(-g)``: the fixed Weideman-Trefethen parabola where the
-  pole is absent or well clear of it, a parabola that keeps the pole at a set
-  distance where it is not.
+1. algebraic asymptotic expansion plus the exponential (pole) term, inside the sector
+   and only where ``|z|**(1/alpha) >= 4``: below that radius the pole term
+   ``|s*|**(1-beta) e^(s*) / alpha`` can be huge and cancel against the branch-cut
+   integral, so its estimate would not bound the error;
+2. power series (compensated summation) for ``|z| <= 60``;
+3. numerical inversion of the Laplace-transform identity
+   ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
+   on a parabolic contour, inside the sector.  Each point takes its parabola from
+   the pole of ``(s^a + lam)^(-g)``: the fixed Weideman-Trefethen parabola where the
+   pole is absent or well clear of it, a parabola that keeps the pole at a set
+   distance where it is not;
+4. the arbitrary-precision series, within a budget on the predicted work
+   ``|z|**(1/alpha)``: 150 per point and 2000 per call, cheapest points first.
+   A point outside the budget keeps an infinite estimate, and
+   ``prabhakar_array`` raises ``AccuracyError`` for it.
 
-The arbitrary-precision series costs milliseconds per point and is reached only by
+The asymptotic route goes first because it is the cheapest, and the points it takes
+are those on which the series sums longest and then fails its target.  The
+arbitrary-precision series costs milliseconds per point and is reached only by
 points that no double-precision route resolves.  No point of the complex-sector
 lattices that the tests and the benchmark pass to ``forward.extend_complex`` needs it.
 
@@ -197,18 +207,32 @@ def _pole_location(a: float, xi: np.ndarray):
     return has, sstar
 
 
+#: the asymptotic route holds where |s*| = |z|**(1/alpha) is at least this; on the
+#: captured benchmark calls 2, 4 and 8 pick the same routes and the same values
+_ASYM_MIN_POW = 4.0
+
+
 def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
-    xi = -np.asarray(z, dtype=complex)
-    ok = xi != 0
+    """Algebraic expansion in 1/xi, xi = -z, plus the exponential term of the pole s*.
+
+    Valid only where |s*| = |z|^(1/alpha) >= ``_ASYM_MIN_POW``; every other point
+    gets an infinite estimate.  Below that radius the pole term grows like
+    |s*|^(1 - beta) and cancels against the branch-cut integral, so a huge term
+    swamps the relative estimate: at alpha = 0.1, beta = 4.2, |z| = 0.05 near the
+    sector edge the estimate read 1.6e-39 for a value off by a relative 1e+44.
+    """
+    xi_all = -np.asarray(z, dtype=complex)
+    valid = np.abs(xi_all) ** (1.0 / a) >= _ASYM_MIN_POW
+    xi = xi_all[valid]
+    ok = np.ones(xi.shape, dtype=bool)
 
     # full term table; individual terms can sit at float-fuzzed poles of Gamma
     # (near-zero rgamma), so truncation decisions must use a two-term envelope
     # rather than raw magnitudes
-    terms = np.zeros((kmax,) + z.shape, dtype=complex)
+    terms = np.zeros((kmax,) + xi.shape, dtype=complex)
     coef = 1.0  # binom(g + k - 1, k)
-    xpow = np.where(ok, _principal_power_array(xi, -g), 0.0)
-    ximinv = np.zeros(z.shape, dtype=complex)
-    ximinv[ok] = 1.0 / xi[ok]
+    xpow = _principal_power_array(xi, -g)
+    ximinv = 1.0 / xi
     for k in range(kmax):
         terms[k] = (-1.0) ** k * coef * xpow * rgamma(b - a * (g + k))
         coef *= (g + k) / (k + 1.0)
@@ -220,20 +244,37 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
     cums = np.cumsum(terms, axis=0)
     vals = np.take_along_axis(cums, kstar[None], axis=0)[0]
     tail = np.take_along_axis(envelope, kstar[None], axis=0)[0]
-    peak = np.take_along_axis(np.maximum.accumulate(mags, axis=0), kstar[None], axis=0)[0]
+    # term k carries the rounding of its k multiplications by 1/xi, plus a few
+    # eps from the principal power, rgamma and the sum
+    weighted = (np.arange(kmax)[:, None] + 4.0) * mags
+    rounding = _EPS * np.take_along_axis(np.cumsum(weighted, axis=0), kstar[None], axis=0)[0]
 
-    has_pole, sstar = _pole_location(a, xi)
+    if a == 1.0:
+        # s + xi vanishes at s = -xi for every xi, on the positive real axis of xi
+        # too, where the contour route can ignore it but this expansion cannot
+        has_pole, sstar = np.ones(xi.shape, dtype=bool), -xi
+    else:
+        has_pole, sstar = _pole_location(a, xi)
     if has_pole.any():
         if g in (1.0, 2.0):
-            vals = np.where(has_pole, vals + _exp_term(a, b, g, np.where(has_pole, sstar, 1.0)), vals)
+            pole = np.where(has_pole, _exp_term(a, b, g, np.where(has_pole, sstar, 1.0)), 0.0)
+            vals = vals + pole
+            # the phase of xi is off by about eps pi and s* takes it divided by
+            # alpha, so s* is off by about eps |s*| (1 + pi / alpha), and e^(s*)
+            # by as much in relative terms
+            rounding = rounding + 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(pole)
         else:
-            ok = ok & ~has_pole
+            ok = ~has_pole
     # divergent-series truncation is trusted only with a stiff safety factor;
     # an identically vanishing algebraic part (alpha = 1 reduces to a pure
     # exponential) carries no information and must not be trusted either
-    est = (100.0 * tail + 4.0 * _EPS * peak) / np.maximum(np.abs(vals), 1e-290)
+    est = (100.0 * tail + rounding) / np.maximum(np.abs(vals), 1e-290)
     est = np.where(ok & ~((tail <= 0.0) & (np.abs(vals) == 0.0)), est, np.inf)
-    return vals, est
+
+    vals_all = np.zeros(xi_all.shape, dtype=complex)
+    est_all = np.full(xi_all.shape, np.inf)
+    vals_all[valid], est_all[valid] = vals, est
+    return vals_all, est_all
 
 
 def _contour_sum(a, b, g, xi, has_pole, sstar, mu, h, n: int):
@@ -318,7 +359,7 @@ def _mp_series_scalar(a: float, b: float, g: float, z: complex) -> complex:
         am, bm, gm = mp.mpf(a), mp.mpf(b), mp.mpf(g)
         zz = mp.mpmathify(z)
         total = mp.mpf(0)
-        coef = 1 / mp.gamma(gm)
+        coef = mp.mpf(1)  # Gamma(g + n) / (Gamma(g) n!)
         zp = mp.mpf(1)
         n = 0
         while True:
@@ -334,7 +375,13 @@ def _mp_series_scalar(a: float, b: float, g: float, z: complex) -> complex:
         return complex(total)
 
 
-_MP_MAX_POW = 700.0  # |z|**(1/alpha) cap for the arbitrary-precision fallback
+#: the arbitrary-precision fallback costs about |z|**(2/alpha) per point, so it
+#: runs only on points whose predicted work |z|**(1/alpha) is at most the first
+#: constant, cheapest first, while the call's total stays within the second.  A
+#: call then costs at most 13 points at 150, about 0.3 s each at alpha = 0.99 on
+#: one x86-64 core
+_MP_MAX_POW = 150.0
+_MP_BUDGET = 2000.0
 
 
 def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
@@ -361,24 +408,28 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
 
     todo = ~zero
     with np.errstate(all="ignore"):
-        # 1. power series (safety factor 25 against its optimistic estimate)
-        cand = todo & (np.abs(zf) <= 60.0)
-        if cand.any():
-            v, e = _series_route(a, b, g, zf[cand])
-            acc = 25.0 * e <= target
-            idx = np.flatnonzero(cand)[acc]
-            vals[idx], est[idx] = v[acc], e[acc]
-            todo[idx] = False
-
         sector_ok = np.abs(_principal_angle(-zf)) <= 0.9995 * params.sector_half_angle
 
-        # 2. asymptotic expansion (its own estimate already carries a factor 100)
+        # 1. asymptotic expansion where it holds, |z|^(1/alpha) >= _ASYM_MIN_POW
+        #    (its own estimate already carries a factor 100); it is the cheapest
+        #    route, and the points it takes are the ones the series would
+        #    sum longest and then reject
         cand = todo & sector_ok
         if cand.any():
             v, e = _asym_route(a, b, g, zf[cand])
             acc = e <= target
             idx = np.flatnonzero(cand)[acc]
             vals[idx], est[idx] = v[acc], e[acc]
+            todo[idx] = False
+
+        # 2. power series on what is left; its own estimate is optimistic by
+        #    up to a factor 8 on the accuracy sweep, so it carries a factor 25
+        cand = todo & (np.abs(zf) <= 60.0)
+        if cand.any():
+            v, e = _series_route(a, b, g, zf[cand])
+            acc = 25.0 * e <= target
+            idx = np.flatnonzero(cand)[acc]
+            vals[idx], est[idx] = v[acc], 25.0 * e[acc]
             todo[idx] = False
 
         # 3. parabolic contour chosen per point from its pole
@@ -398,11 +449,15 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
             est[under] = _EPS
             todo &= ~under
 
-        # 4. arbitrary-precision series for stragglers
-        for i in np.flatnonzero(todo):
-            if np.abs(zf[i]) ** (1.0 / a) <= _MP_MAX_POW:
-                vals[i] = _mp_series_scalar(a, b, g, complex(zf[i]))
-                est[i] = 1e-14
+        # 4. arbitrary-precision series for stragglers within the budget;
+        #    the others keep an infinite estimate
+        left = np.flatnonzero(todo)
+        work = np.abs(zf[left]) ** (1.0 / a)
+        order = np.argsort(work, kind="stable")
+        within = (work[order] <= _MP_MAX_POW) & (np.cumsum(work[order]) <= _MP_BUDGET)
+        for i in left[order[within]]:
+            vals[i] = _mp_series_scalar(a, b, g, complex(zf[i]))
+            est[i] = 1e-14
     vals.imag[zf.imag == 0] = 0.0
     vals = np.where(lower, vals.conj(), vals)
     return vals.reshape(shape), est.reshape(shape)
@@ -414,10 +469,21 @@ def prabhakar_array(params: PrabhakarParams, z, target: float = TARGET) -> np.nd
     worst = float(np.max(est)) if est.size else 0.0
     if worst > HARD_FAIL:
         i = int(np.argmax(est))
+        zi = complex(np.ravel(z)[i])
+        cause = ""
+        if math.isinf(worst):
+            # only the fallback leaves a point unresolved, and only past its budget
+            with np.errstate(over="ignore"):
+                work = np.float64(abs(zi)) ** (1.0 / params.alpha)
+            cause = (
+                f"; no double-precision route met it and the mpmath fallback budget ran out "
+                f"(predicted work |z|^(1/alpha) = {work:.3g}; budget {_MP_MAX_POW:g} per point, "
+                f"{_MP_BUDGET:g} per call)"
+            )
         raise AccuracyError(
             f"Prabhakar evaluation (alpha, beta, gamma) = ({params.alpha!r}, {params.beta!r}, "
-            f"{params.gamma!r}) failed accuracy target at z={complex(np.ravel(z)[i])!r} "
-            f"(estimated relative error {worst:.2e})",
+            f"{params.gamma!r}) failed accuracy target at z={zi!r} "
+            f"(estimated relative error {worst:.2e}){cause}",
             value=np.ravel(vals)[i],
             error_estimate=worst,
         )

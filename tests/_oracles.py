@@ -23,7 +23,7 @@ def prabhakar_reference(alpha: float, beta: float, gamma: float, z: complex) -> 
         a, b, g = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma)
         zz = mp.mpmathify(complex(z))
         total = mp.mpf(0)
-        coef = 1 / mp.gamma(g)
+        coef = mp.mpf(1)  # Gamma(g + n) / (Gamma(g) n!)
         zp = mp.mpf(1)
         n = 0
         while True:

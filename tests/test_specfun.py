@@ -1,6 +1,8 @@
 """Prabhakar engine and special-function utilities."""
 
 import math
+import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from fracflux.specfun import (
     principal_power,
     sector_decay_report,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 class TestPrabhakarValues:
@@ -134,6 +138,127 @@ class TestPoleBand:
                 ref = prabhakar_reference(alpha, beta, gamma, z)
                 assert abs(v - ref) <= 1e-10 * abs(ref)
                 assert abs(cv - ref) <= ce * abs(ref)
+
+
+class TestAccuracySweep:
+    """The accuracy contract over the solver's argument domain: alpha from 0.1 to
+    0.99, gamma in {1, 2}, beta from alpha to 2 alpha + M + 1 (M = 3), |z| from
+    0.05 to 40**alpha and Arg(-z) from 0 to 0.99 of the half-angle.  Every kernel
+    is evaluated on the whole 8 x 6 polar lattice; a seeded sample of 6 lattice
+    points per kernel is checked against the reference series, which costs
+    milliseconds per point."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.99])
+    def test_values_and_estimates_against_reference(self, alpha):
+        half = (2.0 - alpha) * math.pi / 2.0
+        radii = np.geomspace(0.05, 40.0**alpha, 8)
+        angles = np.linspace(0.0, 0.99, 6) * half
+        zs = -(radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+        rng = np.random.default_rng(round(100 * alpha))
+        for gamma in (1.0, 2.0):
+            for beta in (alpha, 1.0, alpha + 1.0, 2.0 * alpha + 1.0, 2.0 * alpha + 4.0):
+                vals, est = prabhakar_diag(PrabhakarParams(alpha, beta, gamma), zs)
+                assert (est <= 1e-10).all()
+                for i in rng.choice(zs.size, 6, replace=False):
+                    ref = prabhakar_reference(alpha, beta, gamma, zs[i])
+                    err = abs(vals[i] - ref) / abs(ref)
+                    assert err <= 1e-10, (beta, gamma, zs[i], err)
+                    assert err <= est[i], (beta, gamma, zs[i], err, est[i])
+
+
+class TestRouteOrder:
+    """The asymptotic route runs first, only where its expansion holds; the
+    series gets only the points it leaves."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3])
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_asymptotic_route_declines_small_arguments_at_the_sector_edge(self, alpha, gamma):
+        # the pole term |s*|^(1 - beta) e^(s*) / alpha is huge here and cancels
+        # against the branch-cut integral, which swamps the relative estimate
+        from fracflux.specfun import TARGET, _asym_route
+
+        beta = 2.0 * alpha + 4.0
+        zs = -np.geomspace(0.05, 0.4, 8) * np.exp(0.98j * (2.0 - alpha) * math.pi / 2.0)
+        _, est = _asym_route(alpha, beta, gamma, zs)
+        assert (est > TARGET).all()
+        vals, _ = prabhakar_diag(PrabhakarParams(alpha, beta, gamma), zs)
+        for z, v in zip(zs, vals):
+            ref = prabhakar_reference(alpha, beta, gamma, z)
+            assert abs(v - ref) <= 1e-10 * abs(ref)
+
+    def test_series_gets_no_point_the_asymptotic_route_takes(self, monkeypatch):
+        # the crime kernels E^1_{0.9, beta}(-lam t^0.9) on the crime time grids
+        from fracflux import specfun
+        from fracflux.config import load_config
+        from fracflux.modes import build_mode_table
+
+        cfg = load_config((ROOT / "configs" / "ip1_crime.cfg").read_text())
+        table = build_mode_table(cfg.model, cfg.K)
+        alpha = cfg.model.alpha
+        t = np.concatenate([cfg.time_grid(), cfg.observation_grid()])
+        zs = -np.concatenate([lam * t**alpha for lam in np.unique(np.r_[table.lam_breve, table.lam_hat])])
+        handed = []
+        original = specfun._series_route
+
+        def counted(a, b, g, z):
+            handed.append(np.array(z))
+            return original(a, b, g, z)
+
+        monkeypatch.setattr(specfun, "_series_route", counted)
+        for beta in (1.0, 1.9, 2.9, 3.9, 4.9):
+            handed.clear()
+            prabhakar_diag(PrabhakarParams(alpha, beta, 1.0), zs)
+            series_points = np.concatenate(handed)
+            assert series_points.size  # the small arguments still need the series
+            _, est = specfun._asym_route(alpha, beta, 1.0, series_points)
+            assert not (est <= specfun.TARGET).any(), f"beta {beta}: {np.sum(est <= specfun.TARGET)} points"
+
+    @pytest.mark.parametrize("beta,gamma", [(2.0, 1.0), (3.0, 2.0), (1.0, 1.5)])
+    def test_alpha_one_against_kummer(self, beta, gamma):
+        # E^g_{1,b}(z) = 1F1(g; b; z) / Gamma(b).  On the negative real axis the
+        # pole s* = z of (s + xi)^(-g) belongs to the asymptotic expansion, which
+        # now runs before the series; at gamma = 1.5 it is a branch point, and
+        # the expansion must leave the point to the other routes
+        import mpmath as mp
+
+        x = np.geomspace(4.0, 60.0, 6)
+        vals = prabhakar_array(PrabhakarParams(1.0, beta, gamma), -x)
+        with mp.workdps(40):
+            refs = [complex(mp.hyp1f1(gamma, beta, -xv) * mp.rgamma(beta)) for xv in x]
+        for v, ref in zip(vals, refs):
+            assert abs(v - ref) <= 1e-10 * abs(ref)
+
+    def test_mpmath_series_against_kummer_at_fractional_gamma(self):
+        # the series coefficients are Gamma(g + n) / (Gamma(g) n!), 1 at n = 0
+        import mpmath as mp
+
+        from fracflux.specfun import _mp_series_scalar
+
+        with mp.workdps(40):
+            ref = complex(mp.hyp1f1(1.5, 1.0, -10.0))
+        assert _mp_series_scalar(1.0, 1.0, 1.5, -10.0) == pytest.approx(ref, rel=1e-12)
+
+    def test_fallback_budget_bounds_the_cost(self, monkeypatch):
+        # just outside the sector no double-precision route applies past the
+        # series radius; these six points cost 25 s of mpmath without a budget
+        from fracflux import specfun
+
+        p = PrabhakarParams(0.99, 0.99, 1.0)
+        zs = -np.linspace(20.0, 600.0, 6) * np.exp(1.02j * p.sector_half_angle)
+        work = []
+        original = specfun._mp_series_scalar
+
+        def counted(a, b, g, z):
+            work.append(abs(z) ** (1.0 / a))
+            return original(a, b, g, z)
+
+        monkeypatch.setattr(specfun, "_mp_series_scalar", counted)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="fallback budget ran out") as exc:
+            prabhakar_array(p, zs)
+        assert time.perf_counter() - start < 2.0
+        assert exc.value.error_estimate == math.inf
+        assert max(work) <= specfun._MP_MAX_POW and sum(work) <= specfun._MP_BUDGET
 
 
 class TestDerivativeRecurrences:
