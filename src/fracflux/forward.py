@@ -9,23 +9,20 @@ truncation of the source at t0 only shifts the same identity.  Everything
 therefore evaluates exactly, for real times and for complex times in the
 analytic-extension sector alike.
 
-u_k, v_k and each unit-coefficient flux column of mode k contract one kernel
-block {E1, q, ce_m, cw_m} on a time grid (``_KernelBlock``) with (phi_k, psi_k,
-f_k, chi_k), or with unit coefficients for the inverse design matrix.  The block
-evaluates each Prabhakar kernel at most once, on first use: truncated source
-convolutions of every order share one shifted evaluation per order, and a
-kernel whose coefficients are all zero (q and cw_m when theta = a = b = 0, as
-in the decoupled problem) is never evaluated.
-
-Mode evaluations are independent and pure; sums over modes are accumulated in
-fixed k-order so repeated runs are bit-identical.
+All K modes share one kernel block {E1, q, ce_m, cw_m} (``_KernelBlock``):
+(K, T) arrays with row k-1 for mode k, since only the roots lam_breve_k and
+lam_hat_k change from mode to mode.  u and v, and the unit-coefficient flux
+columns of the inverse design matrix, contract it with (phi, psi, f, chi).  It
+makes one Prabhakar call per (alpha, beta, gamma), holding every mode, both
+roots and both the full and the t0-shifted grid, and evaluates only the rows
+that meet a nonzero coefficient.  Everything is pure, and terms are summed in a
+fixed order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +32,9 @@ from .specfun import (
     PrabhakarParams,
     _graded_jacobi_integral,
     _principal_power_array,
+    prabhakar,
     prabhakar_array,
+    principal_power,
 )
 
 __all__ = [
@@ -95,18 +94,6 @@ class SourceSpec:
         z = np.zeros((K, degree + 1), dtype=complex)
         return cls(degree=degree, t0=t0, f_coeffs=z, chi_coeffs=z.copy())
 
-    def mode_values(self, k: int, t) -> np.ndarray:
-        """f_k(t) on an array of times (zero beyond t0)."""
-        return self._row_values(self.f_coeffs[k - 1], t)
-
-    def chi_mode_values(self, k: int, t) -> np.ndarray:
-        """chi_k(t) on an array of times (zero beyond t0)."""
-        return self._row_values(self.chi_coeffs[k - 1], t)
-
-    def _row_values(self, row: np.ndarray, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.where(t < self.t0, np.polynomial.polynomial.polyval(t, row), 0.0)
-
 
 @dataclass(frozen=True)
 class StateTrajectory:
@@ -131,165 +118,178 @@ class FluxTrace:
 
 
 # ---------------------------------------------------------------------------
-# per-mode building blocks
+# the kernel block of all K modes
 # ---------------------------------------------------------------------------
 
 
-def _roots_coalesced(lam_breve: float, lam_hat: float) -> bool:
-    return abs(lam_breve - lam_hat) <= ROOT_COALESCENCE_RTOL * max(lam_breve, 1.0)
+def _roots_coalesced(lam_breve, lam_hat):
+    """Whether the two roots merge, so that the gamma = 2 branch applies; elementwise on arrays."""
+    return np.abs(lam_breve - lam_hat) <= ROOT_COALESCENCE_RTOL * np.maximum(lam_breve, 1.0)
 
 
-def _E(alpha: float, beta: float, gamma: float, lam: float, tv: np.ndarray) -> np.ndarray:
-    """E^gamma_{alpha,beta}(-lam * tv**alpha) on an array of (complex) times."""
-    ta = _principal_power_array(tv, alpha)
-    return prabhakar_array(PrabhakarParams(alpha, beta, gamma), -lam * ta)
+def _kernel_rows(alpha: float, beta: float, gamma: float, parts) -> list[np.ndarray]:
+    """E^gamma_{alpha,beta}(-lam x^alpha) for every (lam, rows, x^alpha) of ``parts``, in one call.
 
-
-def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[complex, complex]:
-    """(q_k(z), w_k(z)): the divided-difference pair, coalescent branch when the roots merge."""
-    block = _KernelBlock(params, table, k, np.asarray([complex(z)]), params.t0)
-    return complex(block.q[0]), complex(block.w[0])
-
-
-def _conv_full(alpha: float, lam: float, gamma_ml: float, j: int, tv: np.ndarray) -> np.ndarray:
-    """integral_0^t (t-tau)^(g a - 1) E^g_{a,ga}(-lam (t-tau)^a) tau^j dtau, exact."""
-    beta = gamma_ml * alpha + j + 1.0
-    return (
-        math.factorial(j)
-        * _principal_power_array(tv, gamma_ml * alpha + j)
-        * prabhakar_array(PrabhakarParams(alpha, beta, gamma_ml), -lam * _principal_power_array(tv, alpha))
-    )
-
-
-def _conv_truncated(
-    alpha: float, lam: float, gamma_ml: float, m: int, tv: np.ndarray, t0: float, cut: np.ndarray, memo=None
-) -> np.ndarray:
-    """Same convolution but with the source cut off at t0 (mask ``cut`` marks t beyond t0).
-
-    Past t0 the binomial theorem subtracts sum_j C(m, j) t0^(m-j) conv_j(t - t0).
-    ``memo`` keeps the full convolutions, keyed by (order, shifted), for the
-    other orders of the same kernel on the same grid.
+    ``lam`` holds the roots of all K modes, ``rows`` marks the modes wanted and
+    ``x^alpha`` the powers of a time grid.  Each part comes back as a
+    (K, len(x^alpha)) array, 0 on the rows not wanted; when no row is wanted,
+    nothing is evaluated.
     """
-    memo = {} if memo is None else memo
-
-    def full(j: int, shifted: bool) -> np.ndarray:
-        if (j, shifted) not in memo:
-            memo[j, shifted] = _conv_full(alpha, lam, gamma_ml, j, tv[cut] - t0 if shifted else tv)
-        return memo[j, shifted]
-
-    out = full(m, False).copy()
-    if cut.any():
-        corr = np.zeros(np.count_nonzero(cut), dtype=complex)
-        for j in range(m + 1):
-            corr += math.comb(m, j) * t0 ** (m - j) * full(j, True)
-        out[cut] -= corr
+    z = [(-lam[rows, None] * xa).ravel() for lam, rows, xa in parts]
+    flat = np.concatenate(z)
+    if flat.size:
+        flat = prabhakar_array(PrabhakarParams(alpha, beta, gamma), flat)
+    out = [np.zeros((lam.size, xa.size), dtype=complex) for lam, _, xa in parts]
+    for o, (_, rows, _), vals in zip(out, parts, np.split(flat, np.cumsum([v.size for v in z])[:-1])):
+        o[rows] = vals.reshape(o[rows].shape)
     return out
 
 
+def _conv_truncated(full, shifted, m: int, t0: float, cut: np.ndarray) -> np.ndarray:
+    """Order-m source convolution with the source cut off at t0 (mask ``cut`` marks t beyond t0).
+
+    ``full[j]`` is the order-j convolution over (0, t) on the whole grid and
+    ``shifted[j]`` the same at the cut times minus t0; past t0 the binomial
+    theorem subtracts sum_j C(m, j) t0^(m-j) shifted[j].
+    """
+    out = full[m].copy()
+    if cut.any():
+        corr = np.zeros(shifted[m].shape, dtype=complex)
+        for j in range(m + 1):
+            corr += math.comb(m, j) * t0 ** (m - j) * shifted[j]
+        out[..., cut] -= corr
+    return out
+
+
+def _source_convolutions(alpha: float, gamma_ml: float, roots, tv: np.ndarray, t0: float):
+    """Truncated source convolutions of t^(g a - 1) E^g_{a,ga}(-lam t^a) with t^m, for every root set.
+
+    ``roots`` pairs the roots lam (K,) with a (K, M+1) mask of the (mode,
+    order) entries wanted.  Each pair gets a list over m = 0..M of (K, T)
+    arrays, 0 off the entries wanted.  The full convolution of order j,
+    ``j! t^(g a + j) E^g_{a,ga+j+1}(-lam t^a)``, enters order j, and its form
+    shifted to t - t0 enters every order m >= j.  Order j of every root set, on
+    both grids, is one Prabhakar call.
+    """
+    # sources act over (0, t0) only: real times past t0 and every complex
+    # extension point take the shifted form
+    cut = (tv.imag != 0) | (tv.real > t0)
+    grids = (tv, tv[cut] - t0)
+    powers = [_principal_power_array(x, alpha) for x in grids]
+    M = roots[0][1].shape[1] - 1
+    convs = [([], []) for _ in roots]  # full and shifted convolutions of each root set, by order
+    for j in range(M + 1):
+        scales = [math.factorial(j) * _principal_power_array(x, gamma_ml * alpha + j) for x in grids]
+        parts = [(lam, r, xa) for lam, w in roots for r, xa in zip((w[:, j], w[:, j:].any(axis=1)), powers)]
+        for i, v in enumerate(_kernel_rows(alpha, gamma_ml * alpha + j + 1.0, gamma_ml, parts)):
+            convs[i // 2][i % 2].append(scales[i % 2] * v)
+    return [
+        [np.where(w[:, m, None], _conv_truncated(full, shifted, m, t0, cut), 0.0) for m in range(M + 1)]
+        for (_, w), (full, shifted) in zip(roots, convs)
+    ]
+
+
+def _used_rows(params: ModelParams, table: ModeTable, phi, psi, f, chi):
+    """(init, q, ce, cw) row masks of a ``_KernelBlock``: the kernels that meet a nonzero coefficient.
+
+    q and cw_m enter u and v through theta and b with (phi, f), and through a
+    and zeta with (psi, chi).
+    """
+    wx = (table.theta != 0) | (params.b != 0)
+    wy = (table.zeta != 0) | (params.a != 0)
+    return (
+        (phi != 0) | (psi != 0),
+        ((phi != 0) & wx) | ((psi != 0) & wy),
+        (f != 0) | (chi != 0),
+        ((f != 0) & wx[:, None]) | ((chi != 0) & wy[:, None]),
+    )
+
+
 class _KernelBlock:
-    """The kernels {E1, q, ce_m, cw_m} of mode k on one time grid, each evaluated once, on first use.
+    """The kernels {E1, q, ce_m, cw_m} of all K modes on one time grid: (K, T) arrays, row k-1 for mode k.
 
     E1 = E_{a,1}(-lam_breve t^a) and q, its divided difference over the two
-    roots, carry (phi_k, psi_k); ce_m and cw_m, the order-m source convolutions
-    of the matching kernels, carry (f_km, chi_km).  ``contract`` asks for q and
-    cw_m only when a coefficient multiplying them is nonzero; a skipped kernel
-    enters its sums as 0, which leaves them unchanged.
+    roots, carry (phi, psi); ce_m and cw_m, the order-m source convolutions of
+    the matching kernels, carry (f_m, chi_m).  ``rows`` = (init, q, ce, cw)
+    marks the rows to evaluate, (K,) masks for E1 and q and (K, M+1) masks for
+    ce_m and cw_m, as ``_used_rows`` derives them; a row left out is 0.  Rows
+    whose roots coalesce take the gamma = 2 branch of q and cw_m.
     """
 
-    def __init__(self, params: ModelParams, table: ModeTable, k: int, tv, t0: float):
-        self.alpha, self.a, self.b, self.t0 = params.alpha, params.a, params.b, t0
-        self.lb, self.lh = float(table.lam_breve[k - 1]), float(table.lam_hat[k - 1])
-        self.theta, self.zeta = float(table.theta[k - 1]), float(table.zeta[k - 1])
-        self.coalesced = _roots_coalesced(self.lb, self.lh)
-        self.tv = np.asarray(tv, dtype=complex)
-        # sources act over (0, t0) only: real times past t0 and every complex
-        # extension point use the shifted form of the convolution identity
-        self.cut = (self.tv.imag != 0) | (self.tv.real > t0)
-        self._memo = {}  # (lam, gamma) -> that kernel's full convolutions
+    def __init__(self, params: ModelParams, table: ModeTable, tv: np.ndarray, t0: float, rows):
+        a, lb, lh = params.alpha, table.lam_breve, table.lam_hat
+        self.a, self.b = params.a, params.b
+        self.theta, self.zeta = table.theta[:, None], table.zeta[:, None]
+        coal, gap = _roots_coalesced(lb, lh), (lb - lh)[:, None]
+        init, q_rows, ce_rows, cw_rows = rows
+        ta = _principal_power_array(tv, a)
+        split = q_rows & ~coal
+        self.E1, Eh = _kernel_rows(a, 1.0, 1.0, [(lb, init, ta), (lh, split, ta)])
+        (E2,) = _kernel_rows(a, a + 1.0, 2.0, [(lb, q_rows & coal, ta)])
+        self.q = ta * E2
+        self.q[split] = (Eh[split] - self.E1[split]) / gap[split]
 
-    @cached_property
-    def E1(self) -> np.ndarray:
-        return _E(self.alpha, 1.0, 1.0, self.lb, self.tv)
+        cw_split = cw_rows & ~coal[:, None]
+        self.ce, ch = _source_convolutions(a, 1.0, [(lb, ce_rows), (lh, cw_split)], tv, t0)
+        (self.cw,) = _source_convolutions(a, 2.0, [(lb, cw_rows & coal[:, None])], tv, t0)
+        for m, cw in enumerate(self.cw):
+            r = cw_split[:, m]
+            cw[r] = (ch[m][r] - self.ce[m][r]) / gap[r]
 
-    @cached_property
-    def q(self) -> np.ndarray:
-        a = self.alpha
-        if self.coalesced:
-            return _principal_power_array(self.tv, a) * _E(a, a + 1.0, 2.0, self.lb, self.tv)
-        return (_E(a, 1.0, 1.0, self.lh, self.tv) - self.E1) / (self.lb - self.lh)
+    def contract(self, phi, psi, f, chi) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v), each (K, T), for initial coefficients phi, psi (K,) and source tables f, chi (K, M+1).
 
-    @cached_property
-    def w(self) -> np.ndarray:
-        """Divided difference of t^(a-1) E_{a,a}(-lam t^a) over the two roots; set to 0 at t = 0.
-
-        At t = 0 it is singular for alpha <= 1/2, and then a grid holding 0 is refused.
+        The terms are added in a fixed order: initial data, then source orders 0..M.
         """
-        a = self.alpha
-        zero = self.tv == 0
-        if zero.any() and 2.0 * a - 1.0 <= 0.0:
-            raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
-        safe = np.where(zero, 1.0, self.tv)
-        if self.coalesced:
-            out = _principal_power_array(safe, 2.0 * a - 1.0) * _E(a, 2.0 * a, 2.0, self.lb, safe)
-        else:
-            out = (
-                _principal_power_array(safe, a - 1.0)
-                * (_E(a, a, 1.0, self.lh, safe) - _E(a, a, 1.0, self.lb, safe))
-                / (self.lb - self.lh)
-            )
-        return np.where(zero, 0.0, out)
-
-    def _conv(self, lam: float, gamma_ml: float, m: int) -> np.ndarray:
-        memo = self._memo.setdefault((lam, gamma_ml), {})
-        return _conv_truncated(self.alpha, lam, gamma_ml, m, self.tv, self.t0, self.cut, memo)
-
-    def ce(self, m: int) -> np.ndarray:
-        return self._conv(self.lb, 1.0, m)
-
-    def cw(self, m: int) -> np.ndarray:
-        if self.coalesced:
-            return self._conv(self.lb, 2.0, m)
-        return (self._conv(self.lh, 1.0, m) - self.ce(m)) / (self.lb - self.lh)
-
-    def _needs_w(self, x: complex, y: complex) -> bool:
-        """Whether q (or cw_m) has a nonzero coefficient when (phi_k, psi_k) (or (f_km, chi_km)) = (x, y)."""
-        return (x != 0 and (self.theta != 0 or self.b != 0)) or (y != 0 and (self.a != 0 or self.zeta != 0))
-
-    def contract(self, phi_k: complex, psi_k: complex, f_row, chi_row) -> tuple[np.ndarray, np.ndarray]:
-        """(u_k, v_k) for the initial coefficients (phi_k, psi_k) and source rows (f_k, chi_k)."""
-        th, ze, pa, pb = self.theta, self.zeta, self.a, self.b
-        u = np.zeros(self.tv.shape, dtype=complex)
-        v = np.zeros(self.tv.shape, dtype=complex)
-        if phi_k != 0 or psi_k != 0:
-            E1 = self.E1
-            q = self.q if self._needs_w(phi_k, psi_k) else 0.0
-            u += (E1 + th * q) * phi_k - pa * q * psi_k
-            v += -pb * q * phi_k + (E1 + ze * q) * psi_k
-        for m, (fm, xm) in enumerate(zip(np.asarray(f_row, dtype=complex), np.asarray(chi_row, dtype=complex))):
-            if fm == 0 and xm == 0:
-                continue
-            ce = self.ce(m)
-            cw = self.cw(m) if self._needs_w(fm, xm) else 0.0
+        th, ze, pa, pb, E1, q = self.theta, self.zeta, self.a, self.b, self.E1, self.q
+        phi, psi = phi[:, None], psi[:, None]
+        u = np.zeros(E1.shape, dtype=complex)
+        v = np.zeros(E1.shape, dtype=complex)
+        u += (E1 + th * q) * phi - pa * q * psi
+        v += -pb * q * phi + (E1 + ze * q) * psi
+        for m, (ce, cw) in enumerate(zip(self.ce, self.cw)):
+            fm, xm = f[:, m, None], chi[:, m, None]
             u += fm * (ce + th * cw) - pa * xm * cw
             v += -pb * fm * cw + xm * (ce + ze * cw)
         return u, v
 
 
-def _all_modes(params: ModelParams, table: ModeTable, phi, psi, src: SourceSpec, tv: np.ndarray):
-    """(u, v) of shape (K,) + tv.shape: every mode of the direct problem on complex times tv."""
-    K = table.K
-    phi_c = as_coeffs(phi, K)
-    psi_c = as_coeffs(psi, K)
+def _coefficient_tables(K: int, phi, psi, src: SourceSpec):
+    """(phi, psi, f, chi) as (K,) and (K, M+1) complex arrays, modes past the data padded with 0."""
     if src.K > K:
         raise ValueError(f"source has {src.K} modes, table only {K}")
-    zero_row = np.zeros(src.degree + 1)
-    u = np.zeros((K,) + tv.shape, dtype=complex)
-    v = np.zeros((K,) + tv.shape, dtype=complex)
-    for k in range(1, K + 1):
-        rows = (src.f_coeffs[k - 1], src.chi_coeffs[k - 1]) if k <= src.K else (zero_row, zero_row)
-        block = _KernelBlock(params, table, k, tv, src.t0)
-        u[k - 1], v[k - 1] = block.contract(complex(phi_c[k - 1]), complex(psi_c[k - 1]), *rows)
-    return u, v
+    f = np.zeros((K, src.degree + 1), dtype=complex)
+    chi = np.zeros_like(f)
+    f[: src.K], chi[: src.K] = src.f_coeffs, src.chi_coeffs
+    return as_coeffs(phi, K), as_coeffs(psi, K), f, chi
+
+
+def _all_modes(params: ModelParams, table: ModeTable, coeffs, tv: np.ndarray, t0: float):
+    """(u, v), each (K,) + tv.shape: every mode of the direct problem on complex times tv."""
+    block = _KernelBlock(params, table, tv.ravel(), t0, _used_rows(params, table, *coeffs))
+    return tuple(x.reshape((table.K,) + tv.shape) for x in block.contract(*coeffs))
+
+
+def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[complex, complex]:
+    """(q_k(z), w_k(z)): the divided-difference pair, coalescent branch when the roots merge.
+
+    q_k is row k-1 of the kernel block at z.  w_k, the divided difference of
+    t^(a-1) E_{a,a}(-lam t^a) over the two roots, is set to 0 at z = 0, where
+    it is singular for alpha <= 1/2; that case is refused.
+    """
+    z, a = complex(z), params.alpha
+    if z == 0 and 2.0 * a - 1.0 <= 0.0:
+        raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
+    every, none = np.ones(table.K, dtype=bool), np.zeros((table.K, 0), dtype=bool)
+    q = complex(_KernelBlock(params, table, np.array([z]), params.t0, (every, every, none, none)).q[k - 1, 0])
+    if z == 0:
+        return q, 0j
+    lb, lh = float(table.lam_breve[k - 1]), float(table.lam_hat[k - 1])
+    za = principal_power(z, a)
+    if _roots_coalesced(lb, lh):
+        return q, principal_power(z, 2.0 * a - 1.0) * prabhakar(PrabhakarParams(a, 2.0 * a, 2.0), -lb * za)
+    eh, eb = prabhakar_array(PrabhakarParams(a, a, 1.0), [-lh * za, -lb * za])
+    return q, complex(principal_power(z, a - 1.0) * (eh - eb) / (lb - lh))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,13 @@ def mode_solution(
     t = np.asarray(time_grid, dtype=float)
     if (t < 0).any():
         raise DomainError("time grid must be non-negative")
-    return _KernelBlock(params, table, k, t, params.t0).contract(complex(phi_k), complex(psi_k), f_row, chi_row)
+    coeffs = []
+    for x in (phi_k, psi_k, f_row, chi_row):
+        c = np.zeros((table.K,) + np.shape(x), dtype=complex)
+        c[k - 1] = x
+        coeffs.append(c)
+    u, v = _all_modes(params, table, coeffs, t.astype(complex), params.t0)
+    return u[k - 1], v[k - 1]
 
 
 def solve(
@@ -326,7 +332,7 @@ def solve(
     t = np.asarray(time_grid, dtype=float)
     if t.ndim != 1 or (np.diff(t) <= 0).any() or (t < 0).any():
         raise DomainError("time grid must be strictly increasing and non-negative")
-    u, v = _all_modes(params, table, phi, psi, src, t.astype(complex))
+    u, v = _all_modes(params, table, _coefficient_tables(table.K, phi, psi, src), t.astype(complex), src.t0)
     return StateTrajectory(time_grid=t, u_modes=u, v_modes=v, params=params)
 
 
@@ -353,7 +359,7 @@ def extend_complex(params: ModelParams, table: ModeTable, phi, psi, src: SourceS
         raise DomainError(
             f"z must lie in the sector |Arg(z - t0)| < {theta_max:.6f} around (t0, infinity)"
         )
-    u, v = _all_modes(params, table, phi, psi, src, zarr)
+    u, v = _all_modes(params, table, _coefficient_tables(table.K, phi, psi, src), zarr, src.t0)
     if np.ndim(z) == 0:
         return u[:, 0], v[:, 0]
     return u, v
@@ -362,6 +368,15 @@ def extend_complex(params: ModelParams, table: ModeTable, phi, psi, src: SourceS
 # ---------------------------------------------------------------------------
 # self-checks: fractional residual and the mode-estimate constant
 # ---------------------------------------------------------------------------
+
+
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    """Trapezoid-rule weights on the increasing grid t, uniform or not."""
+    w = np.empty(t.size)
+    w[1:-1] = 0.5 * (t[2:] - t[:-2])
+    w[0] = 0.5 * (t[1] - t[0])
+    w[-1] = 0.5 * (t[-1] - t[-2])
+    return w
 
 
 @dataclass(frozen=True)
@@ -417,24 +432,19 @@ def fractional_residual(
     h = t[1] - t[0]
     if t[0] != 0.0 or not np.allclose(np.diff(t), h, rtol=1e-12, atol=1e-14):
         raise ValueError("fractional_residual requires a uniform grid starting at 0")
-    K = traj.K
-    phi_c = as_coeffs(phi, K)
-    psi_c = as_coeffs(psi, K)
-    w = np.full(t.size, h)
-    w[0] = w[-1] = h / 2.0
-    ru = np.zeros(K)
-    rv = np.zeros(K)
-    for k in range(1, K + 1):
-        uk, vk = traj.u_modes[k - 1], traj.v_modes[k - 1]
-        fk = src.mode_values(k, t) if k <= src.K else np.zeros_like(t)
-        xk = src.chi_mode_values(k, t) if k <= src.K else np.zeros_like(t)
-        lam = table.lam[k - 1]
-        gu = -(params.kappa * lam + params.c) * uk - params.a * vk + fk
-        gv = -(params.varkappa * lam + params.d) * vk - params.b * uk + xk
-        res_u = uk - phi_c[k - 1] - _frac_integral_apply(params.alpha, gu, h)
-        res_v = vk - psi_c[k - 1] - _frac_integral_apply(params.alpha, gv, h)
-        ru[k - 1] = math.sqrt(float(np.sum(w * np.abs(res_u) ** 2)))
-        rv[k - 1] = math.sqrt(float(np.sum(w * np.abs(res_v) ** 2)))
+    phi_c, psi_c, f, chi = _coefficient_tables(traj.K, phi, psi, src)
+    # the sources on the grid, 0 from t0 on
+    fv, xv = (np.where(t < src.t0, np.polynomial.polynomial.polyval(t, c.T), 0.0) for c in (f, chi))
+    u, v, lam = traj.u_modes, traj.v_modes, table.lam[: traj.K, None]
+    gu = -(params.kappa * lam + params.c) * u - params.a * v + fv
+    gv = -(params.varkappa * lam + params.d) * v - params.b * u + xv
+    w = _trapezoid_weights(t)
+
+    def residual(x, x0, g):
+        integral = np.array([_frac_integral_apply(params.alpha, gk, h) for gk in g])
+        return np.sqrt(np.sum(w * np.abs(x - x0[:, None] - integral) ** 2, axis=1))
+
+    ru, rv = residual(u, phi_c, gu), residual(v, psi_c, gv)
     return FractionalResidualReport(
         res_u=float(ru.max()), res_v=float(rv.max()), per_mode_u=ru, per_mode_v=rv, grid_step=float(h)
     )
@@ -444,29 +454,25 @@ def mode_estimate_constant(traj: StateTrajectory, phi, psi, src: SourceSpec) -> 
     """Empirical c0 with |u_k(t)| + |v_k(t)| <= c0 (|phi_k| + |psi_k| + t^(a-1)*(|f_k|+|chi_k|)(t)).
 
     The source moduli are bounded by the polynomials with absolute coefficients.
+    The Abel kernel t^(a-1)/Gamma(a) is the lam = 0 kernel, whose full
+    convolution with t^j is j! t^(a+j)/Gamma(a+j+1); the cut at t0 shifts it as
+    in the kernel block.
     """
-    params = traj.params
-    a = params.alpha
-    t = traj.time_grid
-    pos = t > 0
-    tv = t[pos].astype(complex)
-    cut = (tv.real > src.t0) | (tv.imag != 0)
-    abel = {}  # full convolutions of the lam = 0 kernel, the same for every mode
-    c0 = 0.0
-    phi_c = as_coeffs(phi, traj.K)
-    psi_c = as_coeffs(psi, traj.K)
-    for k in range(1, traj.K + 1):
-        lhs = np.abs(traj.u_modes[k - 1, pos]) + np.abs(traj.v_modes[k - 1, pos])
-        rhs = np.full(tv.shape, abs(phi_c[k - 1]) + abs(psi_c[k - 1]))
-        if k <= src.K:
-            absf = np.abs(src.f_coeffs[k - 1]) + np.abs(src.chi_coeffs[k - 1])
-            for m, cm in enumerate(absf):
-                if cm != 0:
-                    rhs = rhs + cm * math.gamma(a) * _conv_truncated(a, 0.0, 1.0, m, tv, src.t0, cut, abel).real
-        mask = rhs > 0
-        if mask.any():
-            c0 = max(c0, float(np.max(lhs[mask] / rhs[mask])))
-    return c0
+    a, t0 = traj.params.alpha, src.t0
+    pos = traj.time_grid > 0
+    tv = traj.time_grid[pos].astype(complex)
+    cut = tv.real > t0
+    phi_c, psi_c, f, chi = _coefficient_tables(traj.K, phi, psi, src)
+    # Gamma(a) times the full convolutions, on the grid and at the cut times minus t0
+    coef = [math.gamma(a) * math.factorial(j) / math.gamma(a + j + 1.0) for j in range(src.degree + 1)]
+    full, shifted = ([c * _principal_power_array(x, a + j) for j, c in enumerate(coef)] for x in (tv, tv[cut] - t0))
+    rhs = (np.abs(phi_c) + np.abs(psi_c))[:, None] + sum(
+        (np.abs(f[:, m, None]) + np.abs(chi[:, m, None])) * _conv_truncated(full, shifted, m, t0, cut).real
+        for m in range(src.degree + 1)
+    )
+    lhs = np.abs(traj.u_modes[:, pos]) + np.abs(traj.v_modes[:, pos])
+    mask = rhs > 0
+    return float(np.max(lhs[mask] / rhs[mask])) if mask.any() else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,22 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forward import FluxTrace, SourceSpec, _KernelBlock, _roots_coalesced
+from .forward import (
+    ROOT_COALESCENCE_RTOL,
+    FluxTrace,
+    SourceSpec,
+    _KernelBlock,
+    _roots_coalesced,
+    _trapezoid_weights,
+    _used_rows,
+)
 from .laplace import JumpContext, q_branch
-from .modes import ModelParams, ModeTable, SpectralField, check_separation
+from .modes import ModelParams, ModeTable, SpectralField, build_mode_table, check_separation
 from .specfun import DomainError
 
 __all__ = [
@@ -74,8 +83,6 @@ def _pole_gap(ctx: JumpContext, n: int, which: str) -> float:
     Considered: the other poles on the same ray, the mirrored lower ray, the
     branch cut of z^(1/alpha) on the negative real axis, and the origin.
     """
-    from .forward import ROOT_COALESCENCE_RTOL
-
     radii = []
     for k in range(1, ctx.K + 1):
         radii.extend(ctx.pole_radii(k))
@@ -298,41 +305,31 @@ def _flux_columns(params: ModelParams, table: ModeTable, degree: int, t: np.ndar
     """Unit-coefficient flux responses: gamma_k times u_k with one unknown set to 1.
 
     Columns come in per-mode blocks: f_(k,0..M), phi_k and, when a != 0,
-    chi_(k,0..M), psi_k.  The columns of mode k contract one shared
-    ``forward._KernelBlock``, so each of its kernels is evaluated at most once,
-    and in the decoupled problem (q, cw_m unused) that is 2(M+1)+1 evaluations.
+    chi_(k,0..M), psi_k.  All columns contract one ``forward._KernelBlock`` of
+    the K modes; setting unknown j of every mode to 1 at once gives column j of
+    every block.
     """
-    tv = t.astype(complex)
-    cols = []
-    for k in range(1, table.K + 1):
-        block = _KernelBlock(params, table, k, tv, params.t0)
-        gk = table.gamma_trace[k - 1]
-        for unit in np.eye(_unknowns_per_mode(degree, params.coupled), dtype=complex):
-            f_row, phi_k, chi_row, psi_k = _split_unknowns(unit, degree, params.coupled)
-            cols.append(gk * block.contract(phi_k, psi_k, f_row, chi_row)[0])
-    return cols
+    K, n = table.K, (2 if params.coupled else 1) * (degree + 2)
+    rows = _used_rows(params, table, *_split_unknowns(np.ones((K, n)), degree, params.coupled))
+    block = _KernelBlock(params, table, t.astype(complex), params.t0, rows)
+    cols = np.empty((K, n, t.size), dtype=complex)
+    for j, unit in enumerate(np.eye(n, dtype=complex)):
+        u, _ = block.contract(*_split_unknowns(np.tile(unit, (K, 1)), degree, params.coupled))
+        cols[:, j] = table.gamma_trace[:, None] * u
+    return list(cols.reshape(K * n, t.size))
 
 
-def _unknowns_per_mode(degree: int, coupled: bool) -> int:
-    """Length of one per-mode block in the column order of _flux_columns."""
-    return (2 if coupled else 1) * (degree + 2)
-
-
-def _split_unknowns(block: np.ndarray, M: int, coupled: bool):
-    """(f_row, phi_k, chi_row, psi_k) from one per-mode block of unknowns; chi and psi are 0 when a = 0."""
+def _split_unknowns(x: np.ndarray, M: int, coupled: bool):
+    """(phi, psi, f, chi) from the (K, per-mode block) table of unknowns; psi and chi are 0 when a = 0."""
     if coupled:
-        return block[: M + 1], block[M + 1], block[M + 2 : 2 * M + 3], block[2 * M + 3]
-    return block[: M + 1], block[M + 1], np.zeros(M + 1, dtype=complex), 0.0
+        return x[:, M + 1], x[:, 2 * M + 3], x[:, : M + 1], x[:, M + 2 : 2 * M + 3]
+    return x[:, M + 1], np.zeros(len(x), dtype=complex), x[:, : M + 1], np.zeros((len(x), M + 1), dtype=complex)
 
 
 def _weighted_design(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray):
     """(A sqrt(w), sqrt(w)): the design matrix with rows scaled by trapezoid weights w on t."""
     A = np.column_stack(_flux_columns(params, table, degree, t))
-    w = np.empty(t.size)
-    w[1:-1] = 0.5 * (t[2:] - t[:-2])
-    w[0] = 0.5 * (t[1] - t[0])
-    w[-1] = 0.5 * (t[-1] - t[-2])
-    sw = np.sqrt(w)
+    sw = np.sqrt(_trapezoid_weights(t))
     return A * sw[:, None], sw
 
 
@@ -416,8 +413,6 @@ def lsq_reconstruct(
         cn[cn == 0] = 1.0
         U, s, Vh = np.linalg.svd(Ab / cn, full_matrices=False)
         if s[-1] <= 1e-12 * s[0]:
-            import warnings
-
             rank = int(np.sum(s > 1e-12 * s[0]))
             warnings.warn(
                 f"design matrix numerically rank deficient: rank {rank} of {s.size}", stacklevel=2
@@ -432,19 +427,12 @@ def lsq_reconstruct(
         x = Vh.conj().T @ (filt * (U.conj().T @ bw))
     residual = float(np.linalg.norm(Aw @ x - bw))
 
-    K, M = table.K, degree
-    f_hat = np.zeros((K, M + 1), dtype=complex)
-    chi_hat = np.zeros((K, M + 1), dtype=complex)
-    phi_hat = np.zeros(K, dtype=complex)
-    psi_hat = np.zeros(K, dtype=complex)
-    per = _unknowns_per_mode(M, params.coupled)
-    for k in range(K):
-        f_hat[k], phi_hat[k], chi_hat[k], psi_hat[k] = _split_unknowns(x[k * per : (k + 1) * per], M, params.coupled)
+    phi_hat, psi_hat, f_hat, chi_hat = _split_unknowns(x.reshape(table.K, -1), degree, params.coupled)
     return ReconstructionResult(
         phi_hat=SpectralField(phi_hat),
         psi_hat=SpectralField(psi_hat),
-        f_hat=SourceSpec(degree=M, t0=params.t0, f_coeffs=f_hat, chi_coeffs=np.zeros_like(f_hat)),
-        chi_hat=SourceSpec(degree=M, t0=params.t0, f_coeffs=np.zeros_like(chi_hat), chi_coeffs=chi_hat),
+        f_hat=SourceSpec(degree=degree, t0=params.t0, f_coeffs=f_hat, chi_coeffs=np.zeros_like(f_hat)),
+        chi_hat=SourceSpec(degree=degree, t0=params.t0, f_coeffs=np.zeros_like(chi_hat), chi_coeffs=chi_hat),
         residual_norm=residual,
         condition_number=cond,
         regularization=float(mu),
@@ -471,14 +459,10 @@ def conditioning_probe(
     Exploratory output: nothing quantitative connects rational alpha to finite-K
     degeneracy; the rows just report the numbers, deterministically.
     """
-    from dataclasses import replace
-
     t = np.asarray(data_grid, dtype=float)
     rows = []
     for a in alphas:
         params = replace(base_params, alpha=float(a))
-        from .modes import build_mode_table
-
         table = build_mode_table(params, K)
         Aw, _ = _weighted_design(params, table, degree, t)
         s = np.linalg.svd(Aw, compute_uv=False)

@@ -145,11 +145,11 @@ class TestModeSolution:
             for m in (0, 1, 3):
                 for tt in (0.5, 0.98, 1.0, 1.7, 3.5):
                     quad = convolve_kernel_quadrature(alpha, lam, gamma_ml, m, tt, t0)
-                    from fracflux.forward import _conv_truncated
+                    from fracflux.forward import _source_convolutions
 
-                    closed = _conv_truncated(
-                        alpha, lam, gamma_ml, m, np.array([tt], dtype=complex), t0, np.array([tt > t0])
-                    )[0]
+                    wanted = [(np.array([lam]), np.ones((1, m + 1), dtype=bool))]
+                    (convs,) = _source_convolutions(alpha, gamma_ml, wanted, np.array([tt], dtype=complex), t0)
+                    closed = convs[m][0, 0]
                     assert quad == pytest.approx(closed, rel=2e-9, abs=1e-13)
 
 

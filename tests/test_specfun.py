@@ -166,6 +166,35 @@ class TestAccuracySweep:
                     assert err <= est[i], (beta, gamma, zs[i], err, est[i])
 
 
+class TestBatchInvariance:
+    """A point's value and estimate do not depend on the other points of its
+    call, so the solver may put every kernel of one (alpha, beta, gamma) into one
+    call.  Points come from the solver's domain: alpha from 0.1 to 0.99, gamma in
+    {1, 2}, beta from alpha to 2 alpha + 4, |Arg(-z)| below 0.99 of the
+    half-angle (a quarter of them on the negative real axis), |z| from 0.05 to
+    1000."""
+
+    @staticmethod
+    def points(rng, alpha, n):
+        half = (2.0 - alpha) * math.pi / 2.0
+        radii = np.exp(rng.uniform(math.log(0.05), math.log(1e3), n))
+        angles = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(-0.99, 0.99, n) * half)
+        return -radii * np.exp(1j * angles)
+
+    def test_split_calls_match_the_joint_call_bitwise(self):
+        rng = np.random.default_rng(6)
+        for _ in range(12):
+            alpha = rng.uniform(0.1, 0.99)
+            p = PrabhakarParams(alpha, rng.uniform(alpha, 2.0 * alpha + 4.0), float(rng.choice([1.0, 2.0])))
+            zs = self.points(rng, alpha, 48)
+            vals, est = prabhakar_diag(p, zs)
+            for i in range(0, zs.size, 3):
+                z = zs[i : i + 1 + i % 3]  # one to three points split off the joint call
+                v, e = prabhakar_diag(p, z)
+                assert v.tobytes() == vals[i : i + z.size].tobytes(), (p, z)
+                assert e.tobytes() == est[i : i + z.size].tobytes(), (p, z)
+
+
 class TestRouteOrder:
     """The asymptotic route runs first, only where its expansion holds; the
     series gets only the points it leaves."""
