@@ -165,11 +165,8 @@ def cmd_laplace_scan(args) -> int:
     ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     res = _grid_spec(cfg.task.get("s_grid"), (0.5, 5.0, 10))
     ims = float(cfg.task.get("s_imag", 0.0))
-    rows = []
-    for re in res:
-        s = complex(re, ims)
-        val = lap.flux_transform(ctx, s)
-        rows.append([s.real, s.imag, val.real, val.imag])
+    vals = lap.flux_transform(ctx, res + 1j * ims)
+    rows = [[re, ims, val.real, val.imag] for re, val in zip(res, vals)]
     _atomic_write(_out(args, "laplace_scan.csv"), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
     _say(args, f"wrote laplace_scan.csv ({len(rows)} rows) to {args.out}")
     return 0
@@ -180,10 +177,8 @@ def cmd_jump_scan(args) -> int:
     table = build_mode_table(cfg.model, cfg.K)
     ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     rhos = _grid_spec(cfg.task.get("rho_grid"), (0.5, 2.0, 10))
-    rows = []
-    for rho in rhos:
-        val = lap.jump(ctx, float(rho))
-        rows.append([rho, 0.0, val.real, val.imag])
+    vals = lap.jump(ctx, rhos)
+    rows = [[rho, 0.0, val.real, val.imag] for rho, val in zip(rhos, vals)]
     _atomic_write(_out(args, "jump_scan.csv"), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
     _say(args, f"wrote jump_scan.csv ({len(rows)} rows) to {args.out}")
     return 0

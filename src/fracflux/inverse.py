@@ -115,14 +115,13 @@ def _safe_radius(ctx: JumpContext, r0: float, gap: float) -> float:
 
 
 def _contour_moment(ctx: JumpContext, center: complex, radius: float, nodes: int, order: int) -> complex:
-    """(1/2 pi i) contour integral of (z - center)^(order-1) Q(0, z) on a circle."""
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    total = 0.0 + 0.0j
-    for th in theta:
-        e = cmath.exp(1j * th)
-        z = center + radius * e
-        total += q_branch(ctx, 0, z) * (radius * e) ** (order - 1) * radius * e
-    return total / nodes
+    """(1/2 pi i) contour integral of (z - center)^(order-1) Q(0, z) on a circle.
+
+    One ``q_branch`` call takes every node; the nodes are summed in node order.
+    """
+    e = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    terms = q_branch(ctx, 0, center + radius * e) * (radius * e) ** (order - 1) * radius * e
+    return complex(np.cumsum(terms, axis=0)[-1] / nodes)
 
 
 def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None = None) -> ResidueReport:

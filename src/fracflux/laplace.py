@@ -9,14 +9,18 @@ rho = r^alpha, is a series of products R_k(rho) G_k(rho^(1/alpha)) whose
 entire components can be rotated to other branches of the 1/alpha power; that
 rotation is the branch function evaluated here.
 
-Evaluators are pure and a JumpContext is immutable; evaluating many (n, z)
-points concurrently is the intended usage.  Series are summed in fixed k-order.
+Evaluators are pure and a JumpContext is immutable.  Every evaluator takes a
+scalar or an array of points through one code path (a scalar is a one-point
+array) and returns a complex or an array of the input's shape; the value at a
+point does not depend, bit for bit, on the other points of its call.  Series
+are summed in fixed k-order, each point stopping on its own tail bound.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from .forward import SourceSpec
 from .modes import ModelParams, ModeTable, as_coeffs
-from .specfun import DomainError, monomial_laplace_truncated, principal_power
+from .specfun import DomainError, _principal_power_array, monomial_laplace_truncated
 
 __all__ = [
     "PoleLineError",
@@ -47,13 +51,28 @@ class PoleLineError(DomainError):
     """Evaluation requested on (or too near) the pole rays Arg z = +-pi(1-alpha)."""
 
 
-def _source_transform(row, t0: float, s: complex) -> complex:
-    """Truncated Laplace transform sum_m c_m integral_0^t0 e^(-s t) t^m dt (entire in s)."""
+def _source_transform(rows, t0: float, s):
+    """Truncated Laplace transform sum_m c_m integral_0^t0 e^(-s t) t^m dt (entire in s).
+
+    The coefficients c_m lie along the last axis of ``rows`` and broadcast
+    against ``s``: a (K, 1, M+1) table of K modes at N points gives (K, N).
+    """
+    rows = np.atleast_1d(rows)
     total = 0.0 + 0.0j
-    for m, cm in enumerate(np.atleast_1d(row)):
-        if cm != 0:
-            total += cm * monomial_laplace_truncated(m, t0, s)
+    for m in range(rows.shape[-1]):
+        if np.any(rows[..., m] != 0):
+            total = total + rows[..., m] * monomial_laplace_truncated(m, t0, s)
     return total
+
+
+def _points(x) -> np.ndarray:
+    """The points of a scalar or an array as a flat complex array."""
+    return np.asarray(x, dtype=complex).ravel()
+
+
+def _shaped(values: np.ndarray, like):
+    """``values`` in the shape of ``like``: a complex for a scalar."""
+    return complex(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
 
 
 def mode_transform(
@@ -72,29 +91,30 @@ def mode_transform(
     The formula itself is the analytic continuation, so Re s is unrestricted.
     """
     t0 = params.t0 if src_t0 is None else src_t0
-    if s == 0:
+    sp = _points(s)
+    if (sp == 0).any():
         raise DomainError("mode_transform is singular at s = 0 (the s^(alpha-1) factor)")
-    sa = principal_power(s, params.alpha)
-    sam1 = principal_power(s, params.alpha - 1.0)
-    F = _source_transform(f_row, t0, s)
-    X = _source_transform(chi_row, t0, s)
-    return _mode_transform_core(
-        params, table, k - 1, complex(phi_k), complex(psi_k), F, X, sa, sam1
-    )
+    sa = _principal_power_array(sp, params.alpha)
+    sam1 = _principal_power_array(sp, params.alpha - 1.0)
+    F = _source_transform(f_row, t0, sp)
+    X = _source_transform(chi_row, t0, sp)
+    U, V = _mode_transform_core(params, table, k - 1, complex(phi_k), complex(psi_k), F, X, sa, sam1)
+    return _shaped(U, s), _shaped(V, s)
 
 
 def _mode_transform_core(params, table, j, phi_k, psi_k, F, X, sa, sam1):
-    """Assemble U, V from precomputed s^alpha, s^(alpha-1) and source transforms."""
-    import warnings
-
+    """Assemble U, V from s^alpha, s^(alpha-1) and source transforms; ``j`` may be a (K, 1) column."""
     lamb = table.lam_breve[j]
     lamh = table.lam_hat[j]
     den1 = sa + lamb
     den2 = sa + lamh
-    if abs(den1) < 1e-13 * max(lamb, 1.0) or abs(den2) < 1e-13 * max(lamh, 1.0):
-        raise DomainError(f"evaluation at a zero of the mode-{j + 1} denominator")
-    if abs(den2) < 1e-8 * table.lam[j] or abs(den1) < 1e-8 * table.lam[j]:
-        warnings.warn(f"mode {j + 1} transform evaluated near a denominator zero", stacklevel=3)
+    mode = np.broadcast_to(np.asarray(j) + 1, np.broadcast(den1, den2).shape)
+    zero = (np.abs(den1) < 1e-13 * np.maximum(lamb, 1.0)) | (np.abs(den2) < 1e-13 * np.maximum(lamh, 1.0))
+    if zero.any():
+        raise DomainError(f"evaluation at a zero of the mode-{mode[zero][0]} denominator")
+    near = (np.abs(den2) < 1e-8 * table.lam[j]) | (np.abs(den1) < 1e-8 * table.lam[j])
+    if near.any():
+        warnings.warn(f"mode {mode[near][0]} transform evaluated near a denominator zero", stacklevel=3)
     lam = table.lam[j]
     nu = F + sam1 * phi_k
     nx = X + sam1 * psi_k
@@ -146,8 +166,11 @@ class JumpContext:
         return -cmath.exp(-1j * math.pi * self.alpha) * r
 
     # -- entire components --------------------------------------------------
-    def g_eval(self, k: int, j: int, w: complex) -> complex:
-        """G_{k,j}(w): entire away from the simple pole of the initial-state terms at 0."""
+    def g_eval(self, k, j: int, w):
+        """G_{k,j}(w): entire away from the simple pole of the initial-state terms at 0.
+
+        ``k`` may be a (K, 1) column of modes against an array ``w``, here and in ``r_eval``.
+        """
         gk = self.table.gamma_trace[k - 1]
         if j == 1:
             return _source_transform(self.src.f_coeffs[k - 1], self.src.t0, -w) * gk
@@ -160,7 +183,7 @@ class JumpContext:
         raise ValueError(f"family index {j} outside 1..{self.n_families}")
 
     # -- rational components ------------------------------------------------
-    def r_eval(self, k: int, j: int, z: complex) -> complex:
+    def r_eval(self, k, j: int, z):
         """R_{k,j}(z): difference of the two cut-edge rational factors."""
         eplus = cmath.exp(1j * math.pi * self.alpha)
         eminus = cmath.exp(-1j * math.pi * self.alpha)
@@ -187,15 +210,14 @@ class JumpContext:
             return -self.params.a * z * eplus / dp + self.params.a * z * eminus / dm
         raise ValueError("ip2 has families j = 1..4")
 
-    def assert_off_pole_rays(self, z: complex) -> None:
-        if z == 0:
-            raise PoleLineError("z = 0 is excluded")
-        ang = abs(cmath.phase(complex(z)))
+    def assert_off_pole_rays(self, z) -> None:
+        """Raise PoleLineError naming the first point of ``z`` at 0 or on a pole ray."""
+        z = _points(z)
         ray = math.pi * (1.0 - self.alpha)
-        if abs(ang - ray) <= _POLE_RAY_ATOL * max(1.0, ray):
-            raise PoleLineError(
-                f"z lies on the pole rays Arg z = +-pi(1-alpha) = +-{ray:.12f}"
-            )
+        bad = (z == 0) | (np.abs(np.abs(np.angle(z)) - ray) <= _POLE_RAY_ATOL * max(1.0, ray))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise PoleLineError(f"z[{i}] = {complex(z[i])!r} is 0 or on a pole ray Arg z = +-{ray:.12f}")
 
 
 def make_jump_context(params: ModelParams, table: ModeTable, phi, psi, src: SourceSpec) -> JumpContext:
@@ -213,8 +235,8 @@ def make_jump_context(params: ModelParams, table: ModeTable, phi, psi, src: Sour
 # ---------------------------------------------------------------------------
 
 
-def _tail_bounds(ctx: JumpContext, s_for_bound: complex) -> np.ndarray:
-    """tail[k-1] bounds the modes k+1..K of the flux series (stopping rule).
+def _tail_bounds(ctx: JumpContext, s_for_bound: np.ndarray) -> np.ndarray:
+    """tail[k-1, i] bounds the modes k+1..K of the flux series at point i (stopping rule).
 
     Per mode the numerator is bounded through the truncated-transform estimate
     max(1, e^(-Re s t0)) ||f_k||_L1 plus the initial-state terms, and the
@@ -222,65 +244,73 @@ def _tail_bounds(ctx: JumpContext, s_for_bound: complex) -> np.ndarray:
     decoupled family, two in the coupled one).
     """
     p = ctx.params
-    growth = max(1.0, math.exp(min(-s_for_bound.real * ctx.src.t0, 700.0)))
+    growth = np.maximum(1.0, np.exp(np.minimum(-np.real(s_for_bound) * ctx.src.t0, 700.0)))
     t0pow = max(ctx.src.t0, ctx.src.t0 ** (ctx.src.degree + 1))
     l1 = (np.abs(ctx.src.f_coeffs).sum(axis=1) + np.abs(ctx.src.chi_coeffs).sum(axis=1)) * t0pow
-    num = growth * l1 + np.abs(ctx.phi) + np.abs(ctx.psi)
+    num = growth * l1[:, None] + (np.abs(ctx.phi) + np.abs(ctx.psi))[:, None]
     c1 = min(p.kappa, p.varkappa)
     power = 2 if p.coupled else 1
-    per_mode = np.abs(ctx.table.gamma_trace) * num / (c1 * ctx.table.lam * math.sin(math.pi * p.alpha)) ** power
-    tails = np.cumsum(per_mode[::-1])[::-1]  # tails[j] = sum of modes j+1.. plus own
-    return np.concatenate([tails[1:], [0.0]])
+    den = (c1 * ctx.table.lam * math.sin(math.pi * p.alpha)) ** power
+    per_mode = np.abs(ctx.table.gamma_trace)[:, None] * num / den[:, None]
+    tails = np.cumsum(per_mode[::-1], axis=0)[::-1]  # tails[j] = sum of modes j+1.. plus own
+    return np.concatenate([tails[1:], np.zeros((1, growth.size))])
 
 
-def flux_transform(ctx: JumpContext, s: complex, rel_tail: float = 1e-12) -> complex:
+def _mode_sum(terms: np.ndarray, tails: np.ndarray, rel_tail: float) -> np.ndarray:
+    """Sum (K, N) mode terms in k order; a point adds no modes after the first k
+    at which its tail bound falls below ``rel_tail`` of its partial sum."""
+    total = np.zeros(terms.shape[1:], dtype=complex)
+    active = np.ones(terms.shape[1:], dtype=bool)
+    for term, tail in zip(terms, tails):
+        total = np.where(active, total + term, total)
+        active &= ~(tail < rel_tail * np.abs(total))
+    return total
+
+
+def flux_transform(ctx: JumpContext, s, rel_tail: float = 1e-12):
     """Laplace transform of the boundary flux: sum_k U_k(s) gamma_k.
 
     Valid on the slit plane; warns (via DomainError from the core) near poles.
     The k-sum stops once the per-mode bound falls below ``rel_tail`` of the
     partial sum, and always at the table's K.
     """
-    s = complex(s)
-    sa = principal_power(s, ctx.alpha)
-    sam1 = principal_power(s, ctx.alpha - 1.0)
-    return _flux_sum(ctx, s, sa, sam1, rel_tail)
+    sp = _points(s)
+    if (sp == 0).any():
+        raise DomainError("the flux transform is singular at s = 0")
+    sa = _principal_power_array(sp, ctx.alpha)
+    sam1 = _principal_power_array(sp, ctx.alpha - 1.0)
+    return _shaped(_flux_sum(ctx, sp, sa, sam1, rel_tail), s)
 
 
-def flux_transform_limit(ctx: JumpContext, r: float, side: Literal["+", "-"], rel_tail: float = 1e-12) -> complex:
+def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"], rel_tail: float = 1e-12):
     """One-sided limit of the flux transform at s = -r from above (+) or below (-)."""
-    if r <= 0:
+    rp = np.asarray(r, dtype=float).ravel()
+    if (rp <= 0).any():
         raise DomainError("r must be positive")
     sgn = 1.0 if side == "+" else -1.0
-    sa = r**ctx.alpha * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
-    sam1 = -(r ** (ctx.alpha - 1.0)) * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
-    return _flux_sum(ctx, -r, sa, sam1, rel_tail)
+    sa = rp**ctx.alpha * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
+    sam1 = -(rp ** (ctx.alpha - 1.0)) * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
+    return _shaped(_flux_sum(ctx, -rp, sa, sam1, rel_tail), r)
 
 
-def _flux_sum(ctx: JumpContext, s: complex, sa: complex, sam1: complex, rel_tail: float) -> complex:
-    total = 0.0 + 0.0j
-    tails = _tail_bounds(ctx, s)
-    for k in range(1, ctx.K + 1):
-        j = k - 1
-        F = _source_transform(ctx.src.f_coeffs[j], ctx.src.t0, s)
-        X = _source_transform(ctx.src.chi_coeffs[j], ctx.src.t0, s)
-        U, _ = _mode_transform_core(
-            ctx.params, ctx.table, j, complex(ctx.phi[j]), complex(ctx.psi[j]), F, X, sa, sam1
-        )
-        total += U * ctx.table.gamma_trace[j]
-        if tails[j] < rel_tail * abs(total):
-            break
-    return total
+def _flux_sum(ctx: JumpContext, s, sa, sam1, rel_tail: float) -> np.ndarray:
+    """The flux series at the points ``s``, all K modes as (K, N) arrays."""
+    j = np.arange(ctx.K)[:, None]
+    F = _source_transform(ctx.src.f_coeffs[:, None, :], ctx.src.t0, s)
+    X = _source_transform(ctx.src.chi_coeffs[:, None, :], ctx.src.t0, s)
+    U, _ = _mode_transform_core(ctx.params, ctx.table, j, ctx.phi[j], ctx.psi[j], F, X, sa, sam1)
+    return _mode_sum(U * ctx.table.gamma_trace[j], _tail_bounds(ctx, s), rel_tail)
 
 
-def jump(ctx: JumpContext, rho: float) -> complex:
+def jump(ctx: JumpContext, rho):
     """Jump of the flux transform across the negative axis, at rho = r^alpha > 0.
 
     Difference of the theta -> +pi and theta -> -pi limits of the transform,
     taken mode by mode under the series.
     """
-    if rho <= 0:
+    if (np.asarray(rho) <= 0).any():
         raise DomainError("rho must be positive")
-    r = rho ** (1.0 / ctx.alpha)
+    r = np.asarray(rho, dtype=float) ** (1.0 / ctx.alpha)
     return flux_transform_limit(ctx, r, "+") - flux_transform_limit(ctx, r, "-")
 
 
@@ -295,25 +325,20 @@ def branch_phase(alpha: float, n: int) -> complex:
     return cmath.exp(2j * math.pi * frac)
 
 
-def q_branch(ctx: JumpContext, n: int, z: complex, rel_tail: float = 1e-12) -> complex:
+def q_branch(ctx: JumpContext, n: int, z, rel_tail: float = 1e-12):
     """Q(n, z) = sum_k sum_j R_{k,j}(z) G_{k,j}(z^(1/alpha) e^(i 2 pi n / alpha)).
 
-    Branch 0 on the positive real axis reproduces the jump series.
+    Takes a scalar or an array ``z``; every point must lie off 0 and the pole
+    rays.  Branch 0 on the positive real axis reproduces the jump series.
     """
     if n < 0:
         raise ValueError("branch index must be >= 0")
-    ctx.assert_off_pole_rays(z)
-    w = principal_power(z, 1.0 / ctx.alpha) * branch_phase(ctx.alpha, n)
-    total = 0.0 + 0.0j
-    tails = _tail_bounds(ctx, -abs(w))
-    for k in range(1, ctx.K + 1):
-        term = 0.0 + 0.0j
-        for j in range(1, ctx.n_families + 1):
-            term += ctx.r_eval(k, j, z) * ctx.g_eval(k, j, w)
-        total += term
-        if tails[k - 1] < rel_tail * abs(total):
-            break
-    return total
+    zp = _points(z)
+    ctx.assert_off_pole_rays(zp)
+    w = _principal_power_array(zp, 1.0 / ctx.alpha) * branch_phase(ctx.alpha, n)
+    k = np.arange(1, ctx.K + 1)[:, None]
+    terms = sum(ctx.r_eval(k, j, zp) * ctx.g_eval(k, j, w) for j in range(1, ctx.n_families + 1))
+    return _shaped(_mode_sum(terms, _tail_bounds(ctx, -np.abs(w)), rel_tail), z)
 
 
 def branch_search(alpha: float, y: float, eps: float, n_max: int) -> int | None:

@@ -634,62 +634,61 @@ def _graded_jacobi_integral(smooth, weight_exp: float, upper: float, n_panels: i
 # ---------------------------------------------------------------------------
 
 
-def _gamma_series(n: int, w):
-    """sum_{j>=0} w^j / (n (n+1) ... (n+j)), so that gamma(n, w) = w^n e^-w times this sum.
+def _gamma_star(n: int, w: np.ndarray) -> np.ndarray:
+    """gamma(n, w) / w^n = integral_0^1 e^(-w u) u^(n-1) du, entire in w, on a flat array.
 
-    Summed in the type of ``w`` until a term drops below 1e-20 of the total.
+    The branches are those stated in ``monomial_laplace_truncated``.
     """
-    term = 1.0 / n
-    total = term
-    j = 0
-    while abs(term) > 1e-20 * abs(total) and j < 500:
-        j += 1
-        term *= w / (n + j)
-        total += term
-    return total
+    out = np.empty(w.shape, dtype=complex)
+    small = np.abs(w) <= n
+    wl = w[~small]
+    part = sum(wl**j / math.factorial(j) for j in range(n))
+    out[~small] = math.factorial(n - 1) * (1.0 - np.exp(-wl) * part) / wl**n
+    w = w[small]
+    pos = w.real >= 0
+    c = np.where(pos, 1.0 / n, 1.0)  # w^j / (n)_(j+1) or (-w)^j / j!
+    total = c / np.where(pos, 1.0, n)
+    done = np.zeros(w.shape, dtype=bool)
+    for j0 in range(0, 500, 32):  # blocks of terms j0+1..j0+32, each summed in term order
+        j = np.arange(j0 + 1, min(j0 + 32, 500) + 1)[:, None]
+        cs = np.cumprod(np.vstack([c, np.where(pos, w / (n + j), -w / j)]), axis=0)[1:]
+        terms = cs / np.where(pos, 1.0, n + j)
+        totals = np.cumsum(np.vstack([total, terms]), axis=0)[1:]
+        stop = np.abs(terms) <= 1e-20 * np.abs(totals)
+        last = np.where(stop.any(axis=0), stop.argmax(axis=0), len(j) - 1)  # a point's last term here
+        total = np.where(done, total, np.take_along_axis(totals, last[None], axis=0)[0])
+        c, done = cs[-1], done | stop.any(axis=0)
+        if done.all():
+            break
+    out[small] = np.where(pos, np.exp(-w) * total, total)
+    return out
 
 
-def lower_incomplete_gamma(n: int, w: complex) -> complex:
-    """gamma(n, w) = integral_0^w e^-u u^(n-1) du for integer n >= 1, complex w.
-
-    Series for |w| <= 20; for larger |w| the recurrence-closed form
-    (n-1)! (1 - e^-w sum w^j/j!), which the continued fraction collapses to
-    at integer order, is exact and stable.
-    """
+def lower_incomplete_gamma(n: int, w):
+    """gamma(n, w) = integral_0^w e^-u u^(n-1) du for integer n >= 1 and complex w, scalar or array."""
     if n < 1 or n != int(n):
         raise DomainError("order must be an integer >= 1")
-    n = int(n)
-    w = complex(w)
-    if w == 0:
-        return 0.0 + 0.0j
-    if abs(w) <= 20.0:
-        return w**n * cmath.exp(-w) * _gamma_series(n, w)
-    part = sum(w**j / math.factorial(j) for j in range(n))
-    return math.factorial(n - 1) * (1.0 - cmath.exp(-w) * part)
+    wa = np.asarray(w, dtype=complex)
+    out = wa ** int(n) * _gamma_star(int(n), wa.ravel()).reshape(wa.shape)
+    return out if np.ndim(w) else complex(out)
 
 
 def monomial_laplace_truncated(m: int, t0: float, s) -> complex | np.ndarray:
-    """integral_0^t0 e^(-s t) t^m dt = gamma(m+1, s t0) / s^(m+1), entire in s.
+    """integral_0^t0 e^(-s t) t^m dt = gamma(n, w) / s^n with n = m + 1, w = s t0; entire in s.
 
-    Vectorized over ``s``; the removable singularity at s = 0 is filled with
-    the series branch of the incomplete gamma.
+    Takes a scalar or an array of ``s``.  For |w| <= n a series whose terms do
+    not cancel, t0^n e^-w sum_j w^j / (n (n+1) ... (n+j)) where Re w >= 0 and
+    t0^n sum_j (-w)^j / (j! (n+j)) where Re w < 0; each point stops once its
+    term drops below 1e-20 of its sum, after at most 500 terms.  The series
+    also fills the removable singularity at s = 0.  Beyond |w| = n the closed
+    form gamma(n, w) = (n-1)! (1 - e^-w sum_{j<n} w^j / j!).
     """
     if m < 0 or m != int(m):
         raise DomainError("monomial degree must be a non-negative integer")
     if t0 <= 0:
         raise DomainError("t0 must be positive")
-    m = int(m)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=complex))
-    out = np.empty(s_arr.shape, dtype=complex)
-    for i, sv in np.ndenumerate(s_arr):
-        w = sv * t0
-        if w.real < -700.0:
-            raise DomainError(f"truncated transform overflows double precision at s*t0 = {w}")
-        if abs(w) < 1e-290:
-            out[i] = t0 ** (m + 1) / (m + 1)
-        elif abs(w) <= 20.0:
-            # gamma(m+1, w)/s^{m+1} via the series with the w^{m+1} factor absorbed
-            out[i] = t0 ** (m + 1) * cmath.exp(-w) * _gamma_series(m + 1, w)
-        else:
-            out[i] = lower_incomplete_gamma(m + 1, w) / sv ** (m + 1)
-    return out if np.ndim(s) else complex(out.ravel()[0])
+    w = np.asarray(s, dtype=complex) * t0
+    if (w.real < -700.0).any():
+        raise DomainError(f"truncated transform overflows double precision at s*t0 = {w[w.real < -700.0][0]}")
+    out = t0 ** (int(m) + 1) * _gamma_star(int(m) + 1, w.ravel()).reshape(w.shape)
+    return out if np.ndim(s) else complex(out)

@@ -16,10 +16,14 @@ from fracflux.modes import build_mode_table
 
 
 def prabhakar_reference(alpha: float, beta: float, gamma: float, z: complex) -> complex:
-    """Arbitrary-precision series; usable while |z|**(1/alpha) stays moderate."""
+    """Arbitrary-precision series; usable while |z|**(1/alpha) stays moderate.
+
+    The working precision covers the cancellation of an exponentially small
+    value, log10(max term / result) ~ 0.87 |z|**(1/alpha) near alpha = 1.
+    """
     absz = abs(complex(z))
-    extra = 0.5 * absz ** (1.0 / alpha) if absz > 1 else 0.0
-    with mp.workdps(int(30 + extra)):
+    extra = 0.9 * absz ** (1.0 / alpha) if absz > 1 else 0.0
+    with mp.workdps(int(35 + extra)):
         a, b, g = mp.mpf(alpha), mp.mpf(beta), mp.mpf(gamma)
         zz = mp.mpmathify(complex(z))
         total = mp.mpf(0)

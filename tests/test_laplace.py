@@ -233,3 +233,93 @@ class TestBranchSearch:
         n = 4900
         direct = cmath.exp(2j * math.pi * (n / alpha - math.floor(n / alpha)))
         assert branch_phase(alpha, n) == pytest.approx(direct, abs=1e-9)
+
+
+class TestArrayPath:
+    """Every evaluator takes an array of points through one code path; a
+    point's value does not depend, bit for bit, on the other points of its call."""
+
+    @staticmethod
+    def off_ray_points(rng, alpha, n):
+        # |z|^(1/alpha) from 0.3 to 6 straddles |w| = m + 1 for every source degree m
+        radii = rng.uniform(0.3, 6.0, n) ** alpha
+        ray = math.pi * (1.0 - alpha)
+        angles = rng.uniform(-math.pi, math.pi, n)
+        angles = np.where(np.abs(np.abs(angles) - ray) < 1e-3, angles + 0.01, angles)
+        return radii * np.exp(1j * angles)
+
+    @staticmethod
+    def assert_splits_match(fn, zs):
+        joint = fn(zs)
+        for i in range(0, zs.size, 3):
+            z = zs[i : i + 1 + i % 3]  # one to three points split off the joint call
+            assert fn(z).tobytes() == joint[i : i + z.size].tobytes(), z
+
+    #: (problem, K, rel_tail); the tail bound is loose, so only the last case
+    #: has points that stop the mode sum early, each after its own mode
+    CASES = [("ip1", 4, 1e-12), ("ip2", 4, 1e-12), ("ip2", 30, 0.03)]
+
+    @pytest.mark.parametrize("problem, K, rel_tail", CASES)
+    def test_q_branch_split_calls_match_the_joint_call_bitwise(self, problem, K, rel_tail):
+        ctx, p, *_ = make_ctx(problem, K=K, seed=11)
+        zs = self.off_ray_points(np.random.default_rng(12), p.alpha, 60)
+        for n in (0, 3):
+            self.assert_splits_match(lambda z: q_branch(ctx, n, z, rel_tail=rel_tail), zs)
+        if rel_tail > 1e-3:  # some points did stop before mode K
+            assert np.any(q_branch(ctx, 0, zs, rel_tail=rel_tail) != q_branch(ctx, 0, zs, rel_tail=0.0))
+
+    @pytest.mark.parametrize("problem, K, rel_tail", CASES)
+    def test_flux_transform_split_calls_match_the_joint_call_bitwise(self, problem, K, rel_tail):
+        ctx, *_ = make_ctx(problem, K=K, seed=13)
+        rng = np.random.default_rng(14)
+        ss = rng.uniform(0.2, 6.0, 60) * np.exp(1j * rng.uniform(-0.99, 0.99, 60) * math.pi)
+        self.assert_splits_match(lambda s: flux_transform(ctx, s, rel_tail=rel_tail), ss)
+        if rel_tail > 1e-3:  # some points did stop before mode K
+            assert np.any(flux_transform(ctx, ss, rel_tail=rel_tail) != flux_transform(ctx, ss, rel_tail=0.0))
+        self.assert_splits_match(lambda rho: jump(ctx, rho), rng.uniform(0.2, 3.0, 30))
+
+    def test_array_call_equals_scalar_calls(self):
+        ctx, p, *_ = make_ctx(seed=15)
+        zs = self.off_ray_points(np.random.default_rng(16), p.alpha, 12)
+        vals = q_branch(ctx, 0, zs.reshape(3, 4))
+        assert vals.shape == (3, 4)
+        assert vals.ravel().tolist() == [q_branch(ctx, 0, complex(z)) for z in zs]
+        assert isinstance(q_branch(ctx, 0, complex(zs[0])), complex)
+
+    def test_pole_line_error_names_the_element_on_the_ray(self):
+        ctx, p, *_ = make_ctx()
+        zs = self.off_ray_points(np.random.default_rng(17), p.alpha, 5)
+        zs[3] = 2.0 * cmath.exp(-1j * math.pi * (1 - p.alpha))
+        with pytest.raises(PoleLineError, match=r"z\[3\]"):
+            q_branch(ctx, 0, zs)
+
+    @pytest.mark.parametrize(
+        "problem, kw, moments",
+        [
+            ("ip1", {}, 1),
+            ("ip2", {}, 2),  # distinct roots: one simple pole each
+            ("ip2", dict(kappa=1.0, varkappa=1.0, a=0.8, b=0.0, c=1.5, d=1.5), 1),  # one double pole
+        ],
+    )
+    def test_one_q_branch_call_per_contour_moment(self, monkeypatch, problem, kw, moments):
+        from fracflux import inverse
+
+        ctx, *_ = make_ctx(problem, seed=18, **kw)
+        calls = []
+        original = inverse.q_branch
+
+        def counted(ctx, n, z, *args, **kwargs):
+            calls.append(np.size(z))
+            return original(ctx, n, z, *args, **kwargs)
+
+        monkeypatch.setattr(inverse, "q_branch", counted)
+        for mode in (1, 2):
+            calls.clear()
+            if problem == "ip1":
+                rep = inverse.residue_ip1(ctx, mode, nodes=48)
+            else:
+                rr = inverse.residue_ip2(ctx, mode, nodes=48)
+                assert rr.coalescent == (moments == 1)
+                rep = rr.report_breve
+            assert calls == [48] * moments
+            assert rep.rel_error < 1e-6

@@ -65,6 +65,14 @@ class TestPrabhakarValues:
         ref = prabhakar_reference(0.6, 1.0, 2.0, z)
         assert prabhakar(p, z) == pytest.approx(ref, rel=1e-9)
 
+    def test_reference_resolves_exponentially_small_values(self):
+        # E^3_{1,1}(z) = 1F1(3; 1; z) is 1.786e-40 at z = -100, below the
+        # cancellation of its series; too few digits returned 1.648e-35
+        import mpmath as mp
+
+        ref = prabhakar_reference(1.0, 1.0, 3.0, -100.0)
+        assert ref == pytest.approx(complex(mp.hyp1f1(3, 1, -100)), rel=1e-12)
+
     def test_error_estimates_reported(self):
         p = PrabhakarParams(0.6, 1.0, 1.0)
         vals, est = prabhakar_diag(p, [-0.5, -50.0, -800.0])
@@ -400,6 +408,43 @@ class TestMonomialTransforms:
                 got = lower_incomplete_gamma(n, w)
                 ref = complex(mp.gammainc(n, 0, mp.mpmathify(w)))
                 assert got == pytest.approx(ref, rel=1e-11)
+
+    def test_lattice_against_closed_form(self):
+        # |w| <= 40 on 73 angles, n = 1..4, radii on both sides of |w| = n and of
+        # |w| = 20; the reference is the closed form at 60 digits, since
+        # mp.gammainc(n, 0, w) can recurse without end on complex w
+        import mpmath as mp
+
+        radii = [0.3, 0.9, 1.1, 1.9, 2.1, 2.9, 3.1, 3.9, 4.1, 7.0, 13.0, 19.5, 20.5, 30.0, 40.0]
+        ws = (np.array(radii)[:, None] * np.exp(1j * np.linspace(-math.pi, math.pi, 73))).ravel()
+        # points where the former series branch (every |w| <= 20) lost up to 8 digits
+        ws = np.concatenate([ws, [-1.70 - 19.45j, -19.0 + 5.0j, -20.0]])
+        with mp.workdps(60):
+            for n in range(1, 5):
+                ref = []
+                for w in ws:
+                    wm = mp.mpc(complex(w))
+                    part = mp.fsum(wm**j / mp.factorial(j) for j in range(n))
+                    ref.append(mp.factorial(n - 1) * (1 - mp.exp(-wm) * part))
+                gam = lower_incomplete_gamma(n, ws)
+                mono = monomial_laplace_truncated(n - 1, 1.0, ws)
+                for w, r, g, m in zip(ws, ref, gam, mono):
+                    assert abs(mp.mpc(g) - r) <= 1e-13 * abs(r), (n, w)
+                    rm = r / mp.mpc(complex(w)) ** n
+                    assert abs(mp.mpc(m) - rm) <= 1e-13 * abs(rm), (n, w)
+        assert lower_incomplete_gamma(1, -20.0) == pytest.approx(1.0 - math.exp(20.0), rel=1e-14)
+
+    def test_split_calls_match_the_joint_call_bitwise(self):
+        # |s t0| from 0 to 8 straddles |w| = m + 1 on both sides of the imaginary axis
+        rng = np.random.default_rng(19)
+        t0 = 1.3
+        ss = rng.uniform(0.0, 8.0, 90) / t0 * np.exp(1j * rng.uniform(-math.pi, math.pi, 90))
+        for m in range(4):
+            joint = monomial_laplace_truncated(m, t0, ss)
+            for i in range(0, ss.size, 3):
+                s = ss[i : i + 1 + i % 3]
+                assert monomial_laplace_truncated(m, t0, s).tobytes() == joint[i : i + s.size].tobytes(), (m, s)
+            assert monomial_laplace_truncated(m, t0, complex(ss[5])) == joint[5]
 
     def test_entire_in_s_near_zero(self):
         # removable singularity at s = 0 filled by the series branch
