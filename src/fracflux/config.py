@@ -113,7 +113,6 @@ class ExperimentConfig:
     degree: int
     t_points: int
     t_grid_kind: str
-    x_points: int
     phi: SpectralField
     psi: SpectralField
     source: SourceSpec
@@ -125,9 +124,9 @@ class ExperimentConfig:
         """Solver grid on [0, t1] (uniform) used by the forward command."""
         return np.linspace(0.0, self.model.t1, self.t_points)
 
-    def observation_grid(self, n: int | None = None) -> np.ndarray:
-        """Data grid inside (t0, t1), uniform or geometrically refined toward t0."""
-        m = self.t_points if n is None else n
+    def observation_grid(self) -> np.ndarray:
+        """Data grid of t_points inside (t0, t1), uniform or geometrically refined toward t0."""
+        m = self.t_points
         p = self.model
         if self.t_grid_kind == "geometric":
             return p.t0 + (p.t1 - p.t0) * np.geomspace(1e-4, 1.0, m + 1)[:-1]
@@ -181,9 +180,8 @@ def load_config(text: str) -> ExperimentConfig:
     degree = _integer(disc, "disc.M", "3")
     t_points = _integer(disc, "disc.t_points", "201")
     t_grid_kind = str(disc.get("t_grid", "uniform"))
-    x_points = _integer(disc, "disc.x_points", "101")
-    if K < 1 or degree < 0 or t_points < 2 or x_points < 2:
-        raise ConfigError("disc.K >= 1, disc.M >= 0, disc.t_points >= 2, disc.x_points >= 2 required")
+    if K < 1 or degree < 0 or t_points < 2:
+        raise ConfigError("disc.K >= 1, disc.M >= 0, disc.t_points >= 2 required")
     if t_grid_kind not in ("uniform", "geometric"):
         raise ConfigError(f"disc.t_grid must be 'uniform' or 'geometric', got {t_grid_kind!r}")
 
@@ -213,7 +211,6 @@ def load_config(text: str) -> ExperimentConfig:
         degree=degree,
         t_points=t_points,
         t_grid_kind=t_grid_kind,
-        x_points=x_points,
         phi=phi,
         psi=psi,
         source=source,

@@ -280,11 +280,12 @@ def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[co
     z, a = complex(z), params.alpha
     if z == 0 and 2.0 * a - 1.0 <= 0.0:
         raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
+    j = table.row(k)
     every, none = np.ones(table.K, dtype=bool), np.zeros((table.K, 0), dtype=bool)
-    q = complex(_KernelBlock(params, table, np.array([z]), params.t0, (every, every, none, none)).q[k - 1, 0])
+    q = complex(_KernelBlock(params, table, np.array([z]), params.t0, (every, every, none, none)).q[j, 0])
     if z == 0:
         return q, 0j
-    lb, lh = float(table.lam_breve[k - 1]), float(table.lam_hat[k - 1])
+    lb, lh = float(table.lam_breve[j]), float(table.lam_hat[j])
     za = principal_power(z, a)
     if _roots_coalesced(lb, lh):
         return q, principal_power(z, 2.0 * a - 1.0) * prabhakar(PrabhakarParams(a, 2.0 * a, 2.0), -lb * za)
@@ -308,16 +309,17 @@ def mode_solution(
     time_grid,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(u_k, v_k) on a real time grid in [0, infinity)."""
+    j = table.row(k)
     t = np.asarray(time_grid, dtype=float)
     if (t < 0).any():
         raise DomainError("time grid must be non-negative")
     coeffs = []
     for x in (phi_k, psi_k, f_row, chi_row):
         c = np.zeros((table.K,) + np.shape(x), dtype=complex)
-        c[k - 1] = x
+        c[j] = x
         coeffs.append(c)
     u, v = _all_modes(params, table, coeffs, t.astype(complex), params.t0)
-    return u[k - 1], v[k - 1]
+    return u[j], v[j]
 
 
 def solve(

@@ -55,6 +55,14 @@ class SeparationError(ValueError):
     """Cross-mode root separation fails, so per-mode extraction is ill-posed."""
 
 
+def _require_separation(table: ModeTable) -> None:
+    """Raise SeparationError naming the first colliding pair of modes, if any."""
+    sep = check_separation(table)
+    if sep.applicable and sep.violations:
+        k, m, kind = sep.violations[0]
+        raise SeparationError(f"root separation fails for modes ({k}, {m}): {kind}")
+
+
 @dataclass(frozen=True)
 class ResidueReport:
     """Contour residue vs closed-form limit at one pole of the jump series."""
@@ -132,8 +140,7 @@ def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None 
     """
     if ctx.params.coupled:
         raise ValueError("residue_ip1 needs an ip1 context (a = 0)")
-    if not (1 <= n <= ctx.K):
-        raise ValueError(f"mode {n} outside 1..{ctx.K}")
+    ctx.table.row(n)
     gap = _pole_gap(ctx, n, "breve")
     rad = _safe_radius(ctx, ctx.pole_radii(n)[0], gap) if radius is None else float(radius)
     if rad >= 0.99 * gap or rad <= 0:
@@ -197,12 +204,8 @@ def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
     """
     if not ctx.params.coupled:
         raise ValueError("residue_ip2 needs an ip2 context (a != 0)")
-    sep = check_separation(ctx.table)
-    if sep.applicable and sep.violations:
-        k, m, kind = sep.violations[0]
-        raise SeparationError(f"root separation fails for modes ({k}, {m}): {kind}")
-    if not (1 <= n <= ctx.K):
-        raise ValueError(f"mode {n} outside 1..{ctx.K}")
+    _require_separation(ctx.table)
+    ctx.table.row(n)
 
     p = ctx.params
     lam = ctx.table.lam[n - 1]
@@ -387,10 +390,7 @@ def lsq_reconstruct(
     """
     if mu < 0:
         raise ValueError("regularization must be >= 0")
-    sep = check_separation(table)
-    if sep.applicable and sep.violations:
-        k, m, kind = sep.violations[0]
-        raise SeparationError(f"root separation fails for modes ({k}, {m}): {kind}")
+    _require_separation(table)
     t = np.asarray(data.time_grid, dtype=float)
     if t.size < 2:
         raise ValueError("need at least two flux samples")

@@ -13,7 +13,7 @@ Evaluators are pure and a JumpContext is immutable.  Every evaluator takes a
 scalar or an array of points through one code path (a scalar is a one-point
 array) and returns a complex or an array of the input's shape; the value at a
 point does not depend, bit for bit, on the other points of its call.  Series
-are summed in fixed k-order, each point stopping on its own tail bound.
+are summed over all K modes in fixed k-order.
 """
 
 from __future__ import annotations
@@ -51,17 +51,28 @@ class PoleLineError(DomainError):
     """Evaluation requested on (or too near) the pole rays Arg z = +-pi(1-alpha)."""
 
 
-def _source_transform(rows, t0: float, s):
-    """Truncated Laplace transform sum_m c_m integral_0^t0 e^(-s t) t^m dt (entire in s).
+def _source_transforms(t0: float, s, *tables) -> list:
+    """Truncated Laplace transforms sum_m c_m integral_0^t0 e^(-s t) t^m dt (entire in s), one per table.
 
-    The coefficients c_m lie along the last axis of ``rows`` and broadcast
+    The coefficients c_m lie along the last axis of each table and broadcast
     against ``s``: a (K, 1, M+1) table of K modes at N points gives (K, N).
+    Each monomial transform is evaluated once for all the tables.
     """
-    rows = np.atleast_1d(rows)
-    total = 0.0 + 0.0j
-    for m in range(rows.shape[-1]):
-        if np.any(rows[..., m] != 0):
-            total = total + rows[..., m] * monomial_laplace_truncated(m, t0, s)
+    tables = [np.atleast_1d(rows) for rows in tables]
+    totals = [0.0 + 0.0j] * len(tables)
+    for m in range(tables[0].shape[-1]):
+        used = [np.any(rows[..., m] != 0) for rows in tables]
+        if any(used):
+            L = monomial_laplace_truncated(m, t0, s)
+            totals = [tot + rows[..., m] * L if u else tot for tot, rows, u in zip(totals, tables, used)]
+    return totals
+
+
+def _sum_over_k(terms: np.ndarray) -> np.ndarray:
+    """Sum (K, N) mode terms in k order, starting from a complex zero (so a -0.0 part comes out +0.0)."""
+    total = np.zeros(terms.shape[1:], dtype=complex)
+    for term in terms:
+        total = total + term
     return total
 
 
@@ -84,21 +95,19 @@ def mode_transform(
     f_row,
     chi_row,
     s: complex,
-    src_t0: float | None = None,
 ) -> tuple[complex, complex]:
     """(U_k(s), V_k(s)) by the closed formulas; valid wherever the denominator is nonzero.
 
     The formula itself is the analytic continuation, so Re s is unrestricted.
     """
-    t0 = params.t0 if src_t0 is None else src_t0
+    j = table.row(k)
     sp = _points(s)
     if (sp == 0).any():
         raise DomainError("mode_transform is singular at s = 0 (the s^(alpha-1) factor)")
     sa = _principal_power_array(sp, params.alpha)
     sam1 = _principal_power_array(sp, params.alpha - 1.0)
-    F = _source_transform(f_row, t0, sp)
-    X = _source_transform(chi_row, t0, sp)
-    U, V = _mode_transform_core(params, table, k - 1, complex(phi_k), complex(psi_k), F, X, sa, sam1)
+    (F,), (X,) = _source_transforms(params.t0, sp, f_row), _source_transforms(params.t0, sp, chi_row)
+    U, V = _mode_transform_core(params, table, j, complex(phi_k), complex(psi_k), F, X, sa, sam1)
     return _shaped(U, s), _shaped(V, s)
 
 
@@ -173,11 +182,11 @@ class JumpContext:
         """
         gk = self.table.gamma_trace[k - 1]
         if j == 1:
-            return _source_transform(self.src.f_coeffs[k - 1], self.src.t0, -w) * gk
+            return _source_transforms(self.src.t0, -w, self.src.f_coeffs[k - 1])[0] * gk
         if j == 2:
             return -self.phi[k - 1] * gk / w
         if j == 3:
-            return _source_transform(self.src.chi_coeffs[k - 1], self.src.t0, -w) * gk
+            return _source_transforms(self.src.t0, -w, self.src.chi_coeffs[k - 1])[0] * gk
         if j == 4:
             return -self.psi[k - 1] * gk / w
         raise ValueError(f"family index {j} outside 1..{self.n_families}")
@@ -235,71 +244,25 @@ def make_jump_context(params: ModelParams, table: ModeTable, phi, psi, src: Sour
 # ---------------------------------------------------------------------------
 
 
-def _tail_bounds(ctx: JumpContext, s_for_bound: np.ndarray) -> np.ndarray:
-    """tail[k-1, i] bounds the modes k+1..K of the flux series at point i (stopping rule).
+def flux_transform(ctx: JumpContext, s):
+    """Laplace transform of the boundary flux: sum_k U_k(s) gamma_k over all K modes.
 
-    Per mode the numerator is bounded through the truncated-transform estimate
-    max(1, e^(-Re s t0)) ||f_k||_L1 plus the initial-state terms, and the
-    denominator through |s^a + root| >= c1 lam_k sin(a pi) (one factor in the
-    decoupled family, two in the coupled one).
-    """
-    p = ctx.params
-    growth = np.maximum(1.0, np.exp(np.minimum(-np.real(s_for_bound) * ctx.src.t0, 700.0)))
-    t0pow = max(ctx.src.t0, ctx.src.t0 ** (ctx.src.degree + 1))
-    l1 = (np.abs(ctx.src.f_coeffs).sum(axis=1) + np.abs(ctx.src.chi_coeffs).sum(axis=1)) * t0pow
-    num = growth * l1[:, None] + (np.abs(ctx.phi) + np.abs(ctx.psi))[:, None]
-    c1 = min(p.kappa, p.varkappa)
-    power = 2 if p.coupled else 1
-    den = (c1 * ctx.table.lam * math.sin(math.pi * p.alpha)) ** power
-    per_mode = np.abs(ctx.table.gamma_trace)[:, None] * num / den[:, None]
-    tails = np.cumsum(per_mode[::-1], axis=0)[::-1]  # tails[j] = sum of modes j+1.. plus own
-    return np.concatenate([tails[1:], np.zeros((1, growth.size))])
-
-
-def _mode_sum(terms: np.ndarray, tails: np.ndarray, rel_tail: float) -> np.ndarray:
-    """Sum (K, N) mode terms in k order; a point adds no modes after the first k
-    at which its tail bound falls below ``rel_tail`` of its partial sum."""
-    total = np.zeros(terms.shape[1:], dtype=complex)
-    active = np.ones(terms.shape[1:], dtype=bool)
-    for term, tail in zip(terms, tails):
-        total = np.where(active, total + term, total)
-        active &= ~(tail < rel_tail * np.abs(total))
-    return total
-
-
-def flux_transform(ctx: JumpContext, s, rel_tail: float = 1e-12):
-    """Laplace transform of the boundary flux: sum_k U_k(s) gamma_k.
-
-    Valid on the slit plane; warns (via DomainError from the core) near poles.
-    The k-sum stops once the per-mode bound falls below ``rel_tail`` of the
-    partial sum, and always at the table's K.
+    Valid on the slit plane; raises DomainError at s = 0 and at the zeros of
+    a mode denominator, and warns near them.
     """
     sp = _points(s)
     if (sp == 0).any():
         raise DomainError("the flux transform is singular at s = 0")
     sa = _principal_power_array(sp, ctx.alpha)
     sam1 = _principal_power_array(sp, ctx.alpha - 1.0)
-    return _shaped(_flux_sum(ctx, sp, sa, sam1, rel_tail), s)
+    return _shaped(_flux_sum(ctx, *_flux_sources(ctx, sp), sa, sam1), s)
 
 
-def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"], rel_tail: float = 1e-12):
+def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"]):
     """One-sided limit of the flux transform at s = -r from above (+) or below (-)."""
-    rp = np.asarray(r, dtype=float).ravel()
-    if (rp <= 0).any():
-        raise DomainError("r must be positive")
-    sgn = 1.0 if side == "+" else -1.0
-    sa = rp**ctx.alpha * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
-    sam1 = -(rp ** (ctx.alpha - 1.0)) * cmath.exp(sgn * 1j * math.pi * ctx.alpha)
-    return _shaped(_flux_sum(ctx, -rp, sa, sam1, rel_tail), r)
-
-
-def _flux_sum(ctx: JumpContext, s, sa, sam1, rel_tail: float) -> np.ndarray:
-    """The flux series at the points ``s``, all K modes as (K, N) arrays."""
-    j = np.arange(ctx.K)[:, None]
-    F = _source_transform(ctx.src.f_coeffs[:, None, :], ctx.src.t0, s)
-    X = _source_transform(ctx.src.chi_coeffs[:, None, :], ctx.src.t0, s)
-    U, _ = _mode_transform_core(ctx.params, ctx.table, j, ctx.phi[j], ctx.psi[j], F, X, sa, sam1)
-    return _mode_sum(U * ctx.table.gamma_trace[j], _tail_bounds(ctx, s), rel_tail)
+    if side not in ("+", "-"):
+        raise ValueError(f"side must be '+' or '-', got {side!r}")
+    return _cut_limits(ctx, r, side)[0]
 
 
 def jump(ctx: JumpContext, rho):
@@ -311,7 +274,33 @@ def jump(ctx: JumpContext, rho):
     if (np.asarray(rho) <= 0).any():
         raise DomainError("rho must be positive")
     r = np.asarray(rho, dtype=float) ** (1.0 / ctx.alpha)
-    return flux_transform_limit(ctx, r, "+") - flux_transform_limit(ctx, r, "-")
+    upper, lower = _cut_limits(ctx, r, "+", "-")
+    return upper - lower
+
+
+def _cut_limits(ctx: JumpContext, r, *sides: str) -> list:
+    """The one-sided limits at s = -r, one per side; the sides share the source transforms at -r."""
+    rp = np.asarray(r, dtype=float).ravel()
+    if (rp <= 0).any():
+        raise DomainError("r must be positive")
+    F, X = _flux_sources(ctx, -rp)
+    limits = []
+    for side in sides:
+        phase = cmath.exp((1.0 if side == "+" else -1.0) * 1j * math.pi * ctx.alpha)
+        limits.append(_shaped(_flux_sum(ctx, F, X, rp**ctx.alpha * phase, -(rp ** (ctx.alpha - 1.0)) * phase), r))
+    return limits
+
+
+def _flux_sources(ctx: JumpContext, s) -> list:
+    """(F, X): the f and chi source transforms of all K modes at the points ``s``, as (K, N) arrays."""
+    return _source_transforms(ctx.src.t0, s, ctx.src.f_coeffs[:, None, :], ctx.src.chi_coeffs[:, None, :])
+
+
+def _flux_sum(ctx: JumpContext, F, X, sa, sam1) -> np.ndarray:
+    """The flux series from the source transforms F, X and s^alpha, s^(alpha-1) at its points."""
+    j = np.arange(ctx.K)[:, None]
+    U, _ = _mode_transform_core(ctx.params, ctx.table, j, ctx.phi[j], ctx.psi[j], F, X, sa, sam1)
+    return _sum_over_k(U * ctx.table.gamma_trace[j])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +314,7 @@ def branch_phase(alpha: float, n: int) -> complex:
     return cmath.exp(2j * math.pi * frac)
 
 
-def q_branch(ctx: JumpContext, n: int, z, rel_tail: float = 1e-12):
+def q_branch(ctx: JumpContext, n: int, z):
     """Q(n, z) = sum_k sum_j R_{k,j}(z) G_{k,j}(z^(1/alpha) e^(i 2 pi n / alpha)).
 
     Takes a scalar or an array ``z``; every point must lie off 0 and the pole
@@ -338,7 +327,7 @@ def q_branch(ctx: JumpContext, n: int, z, rel_tail: float = 1e-12):
     w = _principal_power_array(zp, 1.0 / ctx.alpha) * branch_phase(ctx.alpha, n)
     k = np.arange(1, ctx.K + 1)[:, None]
     terms = sum(ctx.r_eval(k, j, zp) * ctx.g_eval(k, j, w) for j in range(1, ctx.n_families + 1))
-    return _shaped(_mode_sum(terms, _tail_bounds(ctx, -np.abs(w)), rel_tail), z)
+    return _shaped(_sum_over_k(terms), z)
 
 
 def branch_search(alpha: float, y: float, eps: float, n_max: int) -> int | None:

@@ -149,10 +149,14 @@ class ModeTable:
     theta: np.ndarray
     zeta: np.ndarray
 
-    def mode(self, k: int) -> dict:
+    def row(self, k: int) -> int:
+        """The array index k - 1 of mode k; ValueError outside 1..K."""
         if not (1 <= k <= self.K):
-            raise IndexError(f"mode {k} outside 1..{self.K}")
-        j = k - 1
+            raise ValueError(f"mode {k} outside 1..{self.K}")
+        return k - 1
+
+    def mode(self, k: int) -> dict:
+        j = self.row(k)
         return {
             "k": k,
             "lam": float(self.lam[j]),
@@ -244,20 +248,19 @@ def as_coeffs(field, K: int | None = None) -> np.ndarray:
     return c
 
 
-def analyze(fieldfunc, K: int, *, grid=None, panels: int | None = None) -> SpectralField:
+def analyze(fieldfunc, K: int, *, grid=None) -> SpectralField:
     """Project a function on (0, pi) onto the first K eigenfunctions.
 
-    ``fieldfunc`` is either a callable evaluated at composite Gauss-Legendre
-    nodes, or an array of samples on ``grid`` (then at least ~10 K points are
-    required and the integral is done by the trapezoid rule).
+    ``fieldfunc`` is either a callable evaluated at 10-point Gauss-Legendre
+    nodes on max(8, K) panels, or an array of samples on ``grid`` (then at
+    least ~10 K points are required and the integral is done by the trapezoid
+    rule).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if callable(fieldfunc):
-        n_panels = panels if panels is not None else max(8, K)
-        nodes = 10
-        xg, wg = np.polynomial.legendre.leggauss(nodes)
-        edges = np.linspace(0.0, math.pi, n_panels + 1)
+        xg, wg = np.polynomial.legendre.leggauss(10)
+        edges = np.linspace(0.0, math.pi, max(8, K) + 1)
         x = np.concatenate([0.5 * (b + a) + 0.5 * (b - a) * xg for a, b in zip(edges[:-1], edges[1:])])
         w = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
         f = np.asarray(fieldfunc(x), dtype=complex)
@@ -288,7 +291,6 @@ class SeparationReport:
     """Cross-mode root collisions relevant to the coupled identification problem."""
 
     applicable: bool
-    rel_tol: float
     violations: tuple
 
     @property
@@ -296,15 +298,16 @@ class SeparationReport:
         return (not self.applicable) or len(self.violations) == 0
 
 
-def check_separation(table: ModeTable, rel_tol: float = 1e-9) -> SeparationReport:
+def check_separation(table: ModeTable) -> SeparationReport:
     """List pairs (k, n), k != n, with colliding coupled roots.
 
     The condition requires lam_breve_k != lam_breve_n, lam_hat_k != lam_hat_n
-    and lam_hat_k != lam_breve_n across distinct modes.  With a = 0 the
+    and lam_hat_k != lam_breve_n across distinct modes; roots within 1e-9 of
+    max(|root|, 1) collide.  With a = 0 the
     coupled problem decouples and the condition is not applicable.
     """
     if not table.params.coupled:
-        return SeparationReport(applicable=False, rel_tol=rel_tol, violations=())
+        return SeparationReport(applicable=False, violations=())
     violations = []
     br, ha = table.lam_breve, table.lam_hat
     for kind, left, right in (
@@ -314,8 +317,8 @@ def check_separation(table: ModeTable, rel_tol: float = 1e-9) -> SeparationRepor
     ):
         diff = np.abs(left[:, None] - right[None, :])
         scale = np.maximum(np.abs(left[:, None]), np.abs(right[None, :]))
-        hit = diff <= rel_tol * np.maximum(scale, 1.0)
+        hit = diff <= 1e-9 * np.maximum(scale, 1.0)
         np.fill_diagonal(hit, False)
         for i, j in zip(*np.nonzero(hit)):
             violations.append((int(i + 1), int(j + 1), kind))
-    return SeparationReport(applicable=True, rel_tol=rel_tol, violations=tuple(violations))
+    return SeparationReport(applicable=True, violations=tuple(violations))

@@ -62,7 +62,7 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 
-#: default relative-accuracy target; evaluations failing it carry a flag
+#: relative-accuracy target; evaluations failing it carry a flag
 TARGET = 1e-10
 #: estimates above this raise AccuracyError instead of returning flagged values
 HARD_FAIL = 1e-6
@@ -130,11 +130,9 @@ def principal_power(z: complex, beta: float) -> complex:
 
 def _principal_power_array(z: np.ndarray, beta: float) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
-    z = np.where((z.real < 0) & (z.imag == 0), z.real + 0.0j, z)
     out = np.zeros_like(z)
     nz = z != 0
-    ang = np.arctan2(z[nz].imag, z[nz].real)
-    out[nz] = np.abs(z[nz]) ** beta * np.exp(1j * beta * ang)
+    out[nz] = np.abs(z[nz]) ** beta * np.exp(1j * beta * _principal_angle(z[nz]))
     return out
 
 
@@ -389,11 +387,11 @@ _MP_MAX_POW = 150.0
 _MP_BUDGET = 2000.0
 
 
-def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
+def prabhakar_diag(params: PrabhakarParams, z):
     """Evaluate E^gamma_{alpha,beta} with per-point relative error estimates.
 
     Returns ``(values, estimates)`` as arrays of the broadcast shape of ``z``.
-    Estimates above ``target`` mean the target was not met on that point.
+    Estimates above ``TARGET`` mean the target was not met on that point.
     """
     a, b, g = params.alpha, params.beta, params.gamma
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -422,7 +420,7 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
         cand = todo & sector_ok
         if cand.any():
             v, e = _asym_route(a, b, g, zf[cand])
-            acc = e <= target
+            acc = e <= TARGET
             idx = np.flatnonzero(cand)[acc]
             vals[idx], est[idx] = v[acc], e[acc]
             todo[idx] = False
@@ -432,7 +430,7 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
         cand = todo & (np.abs(zf) <= 60.0)
         if cand.any():
             v, e = _series_route(a, b, g, zf[cand])
-            acc = 25.0 * e <= target
+            acc = 25.0 * e <= TARGET
             idx = np.flatnonzero(cand)[acc]
             vals[idx], est[idx] = v[acc], 25.0 * e[acc]
             todo[idx] = False
@@ -441,7 +439,7 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
         cand = todo & sector_ok
         if cand.any():
             v, e = _contour_route(a, b, g, zf[cand])
-            acc = e <= target
+            acc = e <= TARGET
             idx = np.flatnonzero(cand)[acc]
             vals[idx], est[idx] = v[acc], e[acc]
             todo[idx] = False
@@ -468,9 +466,9 @@ def prabhakar_diag(params: PrabhakarParams, z, target: float = TARGET):
     return vals.reshape(shape), est.reshape(shape)
 
 
-def prabhakar_array(params: PrabhakarParams, z, target: float = TARGET) -> np.ndarray:
+def prabhakar_array(params: PrabhakarParams, z) -> np.ndarray:
     """Vectorized E^gamma_{alpha,beta}(z); raises AccuracyError past the hard threshold."""
-    vals, est = prabhakar_diag(params, z, target=target)
+    vals, est = prabhakar_diag(params, z)
     worst = float(np.max(est)) if est.size else 0.0
     if worst > HARD_FAIL:
         i = int(np.argmax(est))
@@ -495,9 +493,9 @@ def prabhakar_array(params: PrabhakarParams, z, target: float = TARGET) -> np.nd
     return vals
 
 
-def prabhakar(params: PrabhakarParams, z: complex, target: float = TARGET) -> complex:
+def prabhakar(params: PrabhakarParams, z: complex) -> complex:
     """E^gamma_{alpha,beta}(z) for a scalar argument."""
-    return complex(prabhakar_array(params, [complex(z)], target=target)[0])
+    return complex(prabhakar_array(params, [complex(z)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +519,8 @@ class SectorDecayReport:
     n_samples: int
 
 
-def sector_decay_report(params: PrabhakarParams, theta: float, radii, n_rays: int = 5) -> SectorDecayReport:
+def sector_decay_report(params: PrabhakarParams, theta: float, radii) -> SectorDecayReport:
+    """Sample |E^g(-z)| on 5 rays spread over |Arg z| <= theta (one ray at theta = 0) at ``radii``."""
     if len(list(radii)) == 0:
         raise ValueError("radii must be a non-empty list")
     if not (0.0 <= theta < params.sector_half_angle):
@@ -529,7 +528,7 @@ def sector_decay_report(params: PrabhakarParams, theta: float, radii, n_rays: in
             f"theta must lie in [0, (2-alpha)pi/2) = [0, {params.sector_half_angle:.6f}), got {theta}"
         )
     radii = np.asarray(sorted(float(r) for r in radii))
-    angles = np.linspace(-theta, theta, n_rays) if theta > 0 else np.array([0.0])
+    angles = np.linspace(-theta, theta, 5) if theta > 0 else np.array([0.0])
     zs = radii[None, :] * np.exp(1j * angles[:, None])
     mags = np.abs(prabhakar_array(params, -zs))
     c_theta = float(np.max(mags * (1.0 + np.abs(zs)) ** params.gamma))
@@ -564,14 +563,13 @@ def laplace_identity_residual(
     lam: float,
     s: complex,
     t_cut: float,
-    quad_tol: float = 1e-9,
 ) -> float:
     """|quadrature of the truncated transform - closed form s^(ag-b)/(s^a+lam)^g|.
 
     The integrand ``exp(-s t) t^(b-1) E^g_{a,b}(-lam t^a)`` is integrated over
     (0, t_cut) with the endpoint singularity handled by a Gauss-Jacobi rule on
     geometrically graded panels.  The neglected tail must be provably below
-    ``quad_tol``, otherwise an error asks for a larger ``t_cut``.
+    1e-9, otherwise an error asks for a larger ``t_cut``.
     """
     a, b, g = params.alpha, params.beta, params.gamma
     if not (b > 0 and g > 0 and lam > 0):
@@ -589,9 +587,9 @@ def laplace_identity_residual(
         / s.real
         * (1.0 + max(0.0, (b - 1.0) / (s.real * t_cut)))
     )
-    if tail > quad_tol:
+    if tail > 1e-9:
         raise AccuracyError(
-            f"truncation tail bound {tail:.2e} exceeds tolerance {quad_tol:.1e}; increase t_cut",
+            f"truncation tail bound {tail:.2e} exceeds tolerance 1.0e-09; increase t_cut",
             error_estimate=tail,
         )
 

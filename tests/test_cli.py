@@ -153,6 +153,10 @@ class TestTaskOptions:
         cfg = write(tmp_path, "old.cfg", pathlib.Path(DEMO).read_text() + "task.problem = ip2\n")
         assert main(["validate", cfg, "--quiet"]) == 0
 
+    def test_leftover_x_points_accepted(self, tmp_path):
+        cfg = write(tmp_path, "old.cfg", pathlib.Path(DEMO).read_text() + "disc.x_points = 101\n")
+        assert main(["validate", cfg, "--quiet"]) == 0
+
     def test_disagreeing_problem_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "ip2.cfg", pathlib.Path(CRIME).read_text() + "task.problem = ip2\n")
         assert main(["residues", cfg, "--out", str(tmp_path), "--quiet"]) == 2
@@ -190,7 +194,6 @@ class TestConfigValues:
             "disc.K = x",
             "disc.M = 1.5",
             "disc.t_points = 200.5",
-            "disc.x_points = 1j",
             "data.seed = 0.5",
             "data.noise = x",
             "data.noise = 1j",

@@ -46,6 +46,22 @@ def rand_setup(params, K, M, seed=0, complex_data=False):
     return SpectralField(phi.astype(complex)), SpectralField(psi.astype(complex)), src
 
 
+@pytest.mark.parametrize("k", [0, 5])
+@pytest.mark.parametrize("call", ["mode_solution", "qk_wk", "mode_transform"])
+def test_mode_index_outside_1_to_K_rejected(call, k):
+    from fracflux.laplace import mode_transform
+
+    p = coupled_params()
+    t = build_mode_table(p, 4)
+    calls = {
+        "mode_solution": lambda: mode_solution(p, t, k, 1.0, 0.5, [0.3], [0.1], [0.5, 2.0]),
+        "qk_wk": lambda: qk_wk(p, t, k, 0.5),
+        "mode_transform": lambda: mode_transform(p, t, k, 1.0, 0.5, [0.3], [0.1], 1.5 + 0.5j),
+    }
+    with pytest.raises(ValueError, match=rf"mode {k} outside 1\.\.4"):
+        calls[call]()
+
+
 class TestQkWk:
     def test_qk_at_zero_vanishes(self):
         p = coupled_params()

@@ -60,14 +60,14 @@ class TestModeTransform:
     def test_decoupled_single_factor_structure(self):
         # with a = 0 the transform collapses to (F + s^(a-1) phi)/(s^a + kappa lam + c)
         _, p, t, *_ = make_ctx("ip1")
-        from fracflux.laplace import _source_transform
+        from fracflux.laplace import _source_transforms
         from fracflux.specfun import principal_power
 
         s = 2.0 + 1.0j
         k = 2
         f_row = [1.0, -0.5, 0.25]
         U, _ = mode_transform(p, t, k, 0.7, 0.0, f_row, [0.0, 0.0, 0.0], s)
-        num = _source_transform(f_row, p.t0, s) + principal_power(s, p.alpha - 1.0) * 0.7
+        num = _source_transforms(p.t0, s, f_row)[0] + principal_power(s, p.alpha - 1.0) * 0.7
         expect = num / (principal_power(s, p.alpha) + p.kappa * t.lam[k - 1] + p.c)
         assert U == pytest.approx(expect, rel=1e-13)
 
@@ -118,6 +118,11 @@ class TestFluxTransform:
         assert np.isfinite([up.real, up.imag, dn.real, dn.imag]).all()
         assert up != dn
         assert up == pytest.approx(dn.conjugate(), rel=1e-12)  # real data reflect
+
+    def test_side_other_than_plus_or_minus_rejected(self):
+        ctx, *_ = make_ctx(seed=4)
+        with pytest.raises(ValueError, match="side"):
+            flux_transform_limit(ctx, 1.3, "x")
 
 
 class TestJump:
@@ -255,27 +260,22 @@ class TestArrayPath:
             z = zs[i : i + 1 + i % 3]  # one to three points split off the joint call
             assert fn(z).tobytes() == joint[i : i + z.size].tobytes(), z
 
-    #: (problem, K, rel_tail); the tail bound is loose, so only the last case
-    #: has points that stop the mode sum early, each after its own mode
-    CASES = [("ip1", 4, 1e-12), ("ip2", 4, 1e-12), ("ip2", 30, 0.03)]
+    #: (problem, K)
+    CASES = [("ip1", 4), ("ip2", 4), ("ip2", 30)]
 
-    @pytest.mark.parametrize("problem, K, rel_tail", CASES)
-    def test_q_branch_split_calls_match_the_joint_call_bitwise(self, problem, K, rel_tail):
+    @pytest.mark.parametrize("problem, K", CASES)
+    def test_q_branch_split_calls_match_the_joint_call_bitwise(self, problem, K):
         ctx, p, *_ = make_ctx(problem, K=K, seed=11)
         zs = self.off_ray_points(np.random.default_rng(12), p.alpha, 60)
         for n in (0, 3):
-            self.assert_splits_match(lambda z: q_branch(ctx, n, z, rel_tail=rel_tail), zs)
-        if rel_tail > 1e-3:  # some points did stop before mode K
-            assert np.any(q_branch(ctx, 0, zs, rel_tail=rel_tail) != q_branch(ctx, 0, zs, rel_tail=0.0))
+            self.assert_splits_match(lambda z: q_branch(ctx, n, z), zs)
 
-    @pytest.mark.parametrize("problem, K, rel_tail", CASES)
-    def test_flux_transform_split_calls_match_the_joint_call_bitwise(self, problem, K, rel_tail):
+    @pytest.mark.parametrize("problem, K", CASES)
+    def test_flux_transform_split_calls_match_the_joint_call_bitwise(self, problem, K):
         ctx, *_ = make_ctx(problem, K=K, seed=13)
         rng = np.random.default_rng(14)
         ss = rng.uniform(0.2, 6.0, 60) * np.exp(1j * rng.uniform(-0.99, 0.99, 60) * math.pi)
-        self.assert_splits_match(lambda s: flux_transform(ctx, s, rel_tail=rel_tail), ss)
-        if rel_tail > 1e-3:  # some points did stop before mode K
-            assert np.any(flux_transform(ctx, ss, rel_tail=rel_tail) != flux_transform(ctx, ss, rel_tail=0.0))
+        self.assert_splits_match(lambda s: flux_transform(ctx, s), ss)
         self.assert_splits_match(lambda rho: jump(ctx, rho), rng.uniform(0.2, 3.0, 30))
 
     def test_array_call_equals_scalar_calls(self):
