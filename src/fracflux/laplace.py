@@ -163,7 +163,7 @@ class JumpContext:
     # -- pole geometry ------------------------------------------------------
     def pole_radii(self, k: int) -> tuple[float, ...]:
         """Radii of the mode-k poles on the ray Arg z = pi (1 - alpha)."""
-        j = k - 1
+        j = self.table.row(k)
         if not self.params.coupled:
             return (self.params.kappa * self.table.lam[j] + self.params.c,)
         return (float(self.table.lam_breve[j]), float(self.table.lam_hat[j]))
@@ -178,17 +178,19 @@ class JumpContext:
     def g_eval(self, k, j: int, w):
         """G_{k,j}(w): entire away from the simple pole of the initial-state terms at 0.
 
-        ``k`` may be a (K, 1) column of modes against an array ``w``, here and in ``r_eval``.
+        ``k`` may be a (K, 1) column of modes against an array ``w``, here and in ``r_eval``;
+        a mode outside 1..K raises ValueError.
         """
-        gk = self.table.gamma_trace[k - 1]
+        i = self.table.row(k)
+        gk = self.table.gamma_trace[i]
         if j == 1:
-            return _source_transforms(self.src.t0, -w, self.src.f_coeffs[k - 1])[0] * gk
+            return _source_transforms(self.src.t0, -w, self.src.f_coeffs[i])[0] * gk
         if j == 2:
-            return -self.phi[k - 1] * gk / w
+            return -self.phi[i] * gk / w
         if j == 3:
-            return _source_transforms(self.src.t0, -w, self.src.chi_coeffs[k - 1])[0] * gk
+            return _source_transforms(self.src.t0, -w, self.src.chi_coeffs[i])[0] * gk
         if j == 4:
-            return -self.psi[k - 1] * gk / w
+            return -self.psi[i] * gk / w
         raise ValueError(f"family index {j} outside 1..{self.n_families}")
 
     # -- rational components ------------------------------------------------
@@ -196,16 +198,17 @@ class JumpContext:
         """R_{k,j}(z): difference of the two cut-edge rational factors."""
         eplus = cmath.exp(1j * math.pi * self.alpha)
         eminus = cmath.exp(-1j * math.pi * self.alpha)
+        i = self.table.row(k)
         if not self.params.coupled:
-            mu = self.params.kappa * self.table.lam[k - 1] + self.params.c
+            mu = self.params.kappa * self.table.lam[i] + self.params.c
             if j == 1:
                 return 1.0 / (z * eplus + mu) - 1.0 / (z * eminus + mu)
             if j == 2:
                 return z * eplus / (z * eplus + mu) - z * eminus / (z * eminus + mu)
             raise ValueError("ip1 has families j = 1, 2")
-        lb = self.table.lam_breve[k - 1]
-        lh = self.table.lam_hat[k - 1]
-        lam = self.table.lam[k - 1]
+        lb = self.table.lam_breve[i]
+        lh = self.table.lam_hat[i]
+        lam = self.table.lam[i]
         dp = (z * eplus + lb) * (z * eplus + lh)
         dm = (z * eminus + lb) * (z * eminus + lh)
         w = self.params.varkappa * lam + self.params.d

@@ -149,23 +149,11 @@ class ModeTable:
     theta: np.ndarray
     zeta: np.ndarray
 
-    def row(self, k: int) -> int:
-        """The array index k - 1 of mode k; ValueError outside 1..K."""
-        if not (1 <= k <= self.K):
+    def row(self, k):
+        """The array index k - 1 of mode k, an int or an integer array; ValueError outside 1..K."""
+        if np.any((np.asarray(k) < 1) | (np.asarray(k) > self.K)):
             raise ValueError(f"mode {k} outside 1..{self.K}")
         return k - 1
-
-    def mode(self, k: int) -> dict:
-        j = self.row(k)
-        return {
-            "k": k,
-            "lam": float(self.lam[j]),
-            "gamma_trace": float(self.gamma_trace[j]),
-            "lam_breve": float(self.lam_breve[j]),
-            "lam_hat": float(self.lam_hat[j]),
-            "theta": float(self.theta[j]),
-            "zeta": float(self.zeta[j]),
-        }
 
 
 def build_mode_table(params: ModelParams, K: int) -> ModeTable:

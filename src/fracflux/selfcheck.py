@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.special import erfc
 
-from .specfun import PrabhakarParams, laplace_identity_residual, prabhakar_array
+from .specfun import PrabhakarParams, _mp_series_scalar, laplace_identity_residual, prabhakar_array
 
 __all__ = ["specfun_identity_suite"]
 
@@ -78,9 +78,16 @@ def specfun_identity_suite() -> list[tuple[bool, str]]:
             err <= 1e-10,
             f"sector-edge small argument (0.1, 4.2, 1) at |z| = 0.05: rel err {err:.2e} vs truncated series "
             "(tol 1e-10); guards the route order zero, asymptotic (only where |z|^(1/alpha) >= 4), "
-            "series, contour, mpmath",
+            "series, contour",
         )
     )
+
+    # alpha near 1 on the negative axis, where the value is small against the
+    # contour terms; only the contour route's third, narrow parabola resolves it
+    got = prabhakar_array(PrabhakarParams(0.99, 1.0, 1.0), np.array([-30.4]))[0]
+    ref = _mp_series_scalar(0.99, 1.0, 1.0, -30.4)
+    err = abs(got - ref) / abs(ref)
+    checks.append((err <= 1e-10, f"(0.99, 1, 1) at z = -30.4: rel err {err:.2e} vs arbitrary-precision series (tol 1e-10)"))
 
     # Laplace-transform identity (small probe; the acceptance suite runs the full grid)
     res = laplace_identity_residual(PrabhakarParams(0.6, 1.0, 1.0), lam=2.0, s=1.0 + 0.0j, t_cut=60.0)

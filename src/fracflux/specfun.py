@@ -3,8 +3,7 @@
 The evaluator targets the arguments produced by the spectral solver: ``-lam * t**alpha``
 with ``lam > 0`` and ``t`` real positive or complex inside the sector where the solution
 extends analytically.  Three double-precision routes, each with an internal error
-estimate, are tried in a fixed order, each on the points the previous ones left, and
-a slow arbitrary-precision series is kept as a last resort:
+estimate, are tried in a fixed order, each on the points the previous ones left:
 
 1. algebraic asymptotic expansion plus the exponential (pole) term, inside the sector
    and only where ``|z|**(1/alpha) >= 4``: below that radius the pole term
@@ -13,24 +12,21 @@ a slow arbitrary-precision series is kept as a last resort:
 2. power series (compensated summation) for ``|z| <= 60``;
 3. numerical inversion of the Laplace-transform identity
    ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
-   on a parabolic contour, inside the sector.  Each point takes its parabola from
-   the pole of ``(s^a + lam)^(-g)``: the fixed Weideman-Trefethen parabola where the
-   pole is absent or well clear of it, a parabola that keeps the pole at a set
-   distance where it is not;
-4. the arbitrary-precision series, within a budget on the predicted work
-   ``|z|**(1/alpha)``: 150 per point and 2000 per call, cheapest points first.
-   A point outside the budget keeps an infinite estimate, and
-   ``prabhakar_array`` raises ``AccuracyError`` for it.
+   on a parabolic contour, on every point left, inside the sector or not.  Each point
+   takes its parabola from the pole of ``(s^a + lam)^(-g)``: the fixed
+   Weideman-Trefethen parabola where the pole is absent or well clear of it, a
+   parabola that keeps the pole at a set distance where it is not, and a third,
+   narrower one where neither meets the target.  A pole right of the parabola is
+   added as its residue.
 
-The asymptotic route goes first because it is the cheapest, and the points it takes
-are those on which the series sums longest and then fails its target.  The
-arbitrary-precision series costs milliseconds per point and is reached only by
-points that no double-precision route resolves.  No point of the complex-sector
-lattices that the tests and the benchmark pass to ``forward.extend_complex`` needs it.
+A point that no route resolves keeps an infinite estimate, and ``prabhakar_array``
+raises ``AccuracyError`` for it at once.  The asymptotic route goes first because it
+is the cheapest, and the points it takes are those on which the series sums longest
+and then fails its target.
 
-``prabhakar_diag`` is batch-invariant: a point's value and estimate do not depend, bit for
-bit, on the other points of its call, since every route works point by point and the
-contour sums its nodes in row order.  Only the fallback budget of route 4 is counted per call.
+``prabhakar_diag`` is batch-invariant: a point's value, estimate and failure do not
+depend, bit for bit, on the other points of its call, since every route works point by
+point and the contour sums its nodes in row order.
 
 All functions are pure; nothing here keeps mutable state, so concurrent use is safe.
 """
@@ -41,7 +37,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from scipy.special import rgamma
 
@@ -284,10 +279,11 @@ def _contour_sum(a, b, g, xi, has_pole, sstar, mu, h, n: int):
 
     ``mu`` and ``h`` are scalars or one value per point.  A pole right of the
     parabola, Re sqrt(s*) > sqrt(mu), is added as its residue.  Returns the
-    values and a bound on two errors that a second node count does not see:
+    values and a bound on three errors that a second node count does not see:
     the part of the integral beyond |u| = h n, from the end terms and the
-    Gaussian decay e^(mu (1 - u^2)) past them, and the rounding of the terms,
-    whose exponential is off by about eps |s| in relative terms.
+    Gaussian decay e^(mu (1 - u^2)) past them, the rounding of the terms,
+    whose exponential is off by about eps |s| in relative terms, and the
+    rounding of the residue.
     """
     u = h * np.arange(-n, n + 1)[:, None]
     s = mu * (1.0 + 1j * u) ** 2
@@ -299,10 +295,19 @@ def _contour_sum(a, b, g, xi, has_pole, sstar, mu, h, n: int):
     ratio = np.exp(-2.0 * mu * h * h * n)  # Gaussian factor of |term k+1| / |term k| past the ends
     tail = (mags[0] + mags[-1]) / (1.0 - ratio)
     rounding = _EPS * np.cumsum(mags * (1.0 + np.abs(s)), axis=0)[-1]
+    err = scale * (tail + rounding)
     outside = has_pole & (np.abs(sstar) * np.cos(np.angle(sstar) / 2.0) ** 2 > mu)
     if outside.any():
-        vals = np.where(outside, vals + _exp_term(a, b, g, np.where(outside, sstar, 1.0)), vals)
-    return vals, scale * (tail + rounding)
+        pole = np.where(outside, _exp_term(a, b, g, np.where(outside, sstar, 1.0)), 0.0)
+        vals = np.where(outside, vals + pole, vals)
+        # s* is off by about eps |s*| (1 + pi / alpha), and e^(s*) by as much in
+        # relative terms, as in the asymptotic route
+        err = err + 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(pole)
+    return vals, err
+
+
+#: mu of the third, narrow parabola of the contour route
+_NARROW_MU = 3.0
 
 
 def _contour_route(a: float, b: float, g: float, z: np.ndarray):
@@ -316,8 +321,15 @@ def _contour_route(a: float, b: float, g: float, z: np.ndarray):
     it at distance 1 right of the contour, as far as the branch cut of s^a on
     the left, and the nodes reach |u| = sqrt(1 + 38 / mu), where
     e^(mu (1 - u^2)) is below 1e-16 (N = 160 against 128, so that h stays
-    below 0.1 down to the smallest mu of the band).  The estimate adds the
-    difference of the two node counts to the truncation and rounding bounds.
+    below 0.1 down to the smallest mu of the band).  A point that its parabola
+    leaves above ``TARGET`` gets a third, fixed one, mu = ``_NARROW_MU`` = 3 with
+    the nodes out to the same sqrt(1 + 38 / mu) (N = 64 against 51, h = 0.058).
+    It covers alpha near 1 on and near the negative axis, where the value is
+    small against the terms, which reach e^mu near u = 0, so that a smaller mu
+    cuts their rounding.  The estimate adds the difference of the two node
+    counts to the bounds of ``_contour_sum``.  A pole at gamma outside {1, 2}
+    is a branch point that no residue compensates; its point gets an infinite
+    estimate.
     """
     xi = -np.asarray(z, dtype=complex)
     invalid = xi == 0
@@ -326,9 +338,16 @@ def _contour_route(a: float, b: float, g: float, z: np.ndarray):
     if g not in (1.0, 2.0):
         # a branch point of the denominator cannot be compensated by a residue
         invalid = invalid | has_pole
+    has_pole &= ~invalid
     # the pole sits at distance |rel - 1| from the fixed parabola (mu = 2 pi) in u
     rel = np.sqrt(sstar).real / math.sqrt(2.0 * math.pi)
-    near = has_pole & ~invalid & (np.abs(rel - 1.0) < 0.6)
+    near = has_pole & (np.abs(rel - 1.0) < 0.6)
+
+    def trapezoid(sel, fine, coarse):
+        args = (a, b, g, xi[sel], has_pole[sel], sstar[sel])
+        v, err = _contour_sum(*args, *fine)
+        v_coarse, _ = _contour_sum(*args, *coarse)
+        return v, (np.abs(v - v_coarse) + err) / np.maximum(np.abs(v), 1e-290) + 5e-14
 
     vals = np.empty(xi.shape, dtype=complex)
     est = np.empty(xi.shape)
@@ -338,14 +357,13 @@ def _contour_route(a: float, b: float, g: float, z: np.ndarray):
         (~near, (math.pi * 24 / 12.0, 3.0 / 24, 24), (math.pi * 20 / 12.0, 3.0 / 20, 20)),
         (near, (mu_pole, u_max / 160, 160), (mu_pole, u_max / 128, 128)),
     ):
-        if not sel.any():
-            continue
-        args = (a, b, g, xi[sel], has_pole[sel], sstar[sel])
-        v, err = _contour_sum(*args, *fine)
-        v_coarse, _ = _contour_sum(*args, *coarse)
-        vals[sel] = v
-        est[sel] = (np.abs(v - v_coarse) + err) / np.maximum(np.abs(v), 1e-290) + 5e-14
-    est = np.where(invalid, np.inf, est)
+        if sel.any():
+            vals[sel], est[sel] = trapezoid(sel, fine, coarse)
+    retry = ~invalid & ~(est <= TARGET)
+    if retry.any():
+        u_max = math.sqrt(1.0 + 38.0 / _NARROW_MU)
+        vals[retry], est[retry] = trapezoid(retry, (_NARROW_MU, u_max / 64, 64), (_NARROW_MU, u_max / 51, 51))
+    est[invalid] = np.inf
     return vals, est
 
 
@@ -354,8 +372,11 @@ def _mp_series_scalar(a: float, b: float, g: float, z: complex) -> complex:
 
     The working precision covers the worst cancellation, which reaches
     log10(max term / result) ~ 0.87 |z|**(1/a) when the result is itself
-    exponentially small (alpha near 1 on the negative axis).
+    exponentially small (alpha near 1 on the negative axis).  No route of
+    ``prabhakar_diag`` calls it; ``fracflux specfun-check`` compares against it.
     """
+    import mpmath as mp
+
     absz = abs(z)
     extra = 0.9 * absz ** (1.0 / a) if absz > 1 else 0.0
     with mp.workdps(int(35 + extra)):
@@ -378,20 +399,13 @@ def _mp_series_scalar(a: float, b: float, g: float, z: complex) -> complex:
         return complex(total)
 
 
-#: the arbitrary-precision fallback costs about |z|**(2/alpha) per point, so it
-#: runs only on points whose predicted work |z|**(1/alpha) is at most the first
-#: constant, cheapest first, while the call's total stays within the second.  A
-#: call then costs at most 13 points at 150, about 0.3 s each at alpha = 0.99 on
-#: one x86-64 core
-_MP_MAX_POW = 150.0
-_MP_BUDGET = 2000.0
-
-
 def prabhakar_diag(params: PrabhakarParams, z):
     """Evaluate E^gamma_{alpha,beta} with per-point relative error estimates.
 
     Returns ``(values, estimates)`` as arrays of the broadcast shape of ``z``.
-    Estimates above ``TARGET`` mean the target was not met on that point.
+    Estimates above ``TARGET`` mean the target was not met on that point; a
+    point that no route resolves has an infinite estimate.  Every route runs in
+    double precision, and nothing here calls mpmath.
     """
     a, b, g = params.alpha, params.beta, params.gamma
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -435,12 +449,11 @@ def prabhakar_diag(params: PrabhakarParams, z):
             vals[idx], est[idx] = v[acc], 25.0 * e[acc]
             todo[idx] = False
 
-        # 3. parabolic contour chosen per point from its pole
-        cand = todo & sector_ok
-        if cand.any():
-            v, e = _contour_route(a, b, g, zf[cand])
+        # 3. parabolic contour chosen per point from its pole, on every point left
+        if todo.any():
+            v, e = _contour_route(a, b, g, zf[todo])
             acc = e <= TARGET
-            idx = np.flatnonzero(cand)[acc]
+            idx = np.flatnonzero(todo)[acc]
             vals[idx], est[idx] = v[acc], e[acc]
             todo[idx] = False
 
@@ -450,17 +463,6 @@ def prabhakar_diag(params: PrabhakarParams, z):
             under = todo & sector_ok & ((-zf).real > 770.0)
             vals[under] = 0.0
             est[under] = _EPS
-            todo &= ~under
-
-        # 4. arbitrary-precision series for stragglers within the budget;
-        #    the others keep an infinite estimate
-        left = np.flatnonzero(todo)
-        work = np.abs(zf[left]) ** (1.0 / a)
-        order = np.argsort(work, kind="stable")
-        within = (work[order] <= _MP_MAX_POW) & (np.cumsum(work[order]) <= _MP_BUDGET)
-        for i in left[order[within]]:
-            vals[i] = _mp_series_scalar(a, b, g, complex(zf[i]))
-            est[i] = 1e-14
     vals.imag[zf.imag == 0] = 0.0
     vals = np.where(lower, vals.conj(), vals)
     return vals.reshape(shape), est.reshape(shape)
@@ -473,16 +475,7 @@ def prabhakar_array(params: PrabhakarParams, z) -> np.ndarray:
     if worst > HARD_FAIL:
         i = int(np.argmax(est))
         zi = complex(np.ravel(z)[i])
-        cause = ""
-        if math.isinf(worst):
-            # only the fallback leaves a point unresolved, and only past its budget
-            with np.errstate(over="ignore"):
-                work = np.float64(abs(zi)) ** (1.0 / params.alpha)
-            cause = (
-                f"; no double-precision route met it and the mpmath fallback budget ran out "
-                f"(predicted work |z|^(1/alpha) = {work:.3g}; budget {_MP_MAX_POW:g} per point, "
-                f"{_MP_BUDGET:g} per call)"
-            )
+        cause = "; no route resolved it" if math.isinf(worst) else ""
         raise AccuracyError(
             f"Prabhakar evaluation (alpha, beta, gamma) = ({params.alpha!r}, {params.beta!r}, "
             f"{params.gamma!r}) failed accuracy target at z={zi!r} "

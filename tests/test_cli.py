@@ -1,7 +1,10 @@
 """Command-line front door: formats, exit codes, determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,16 @@ class TestInvertRoundTrip:
         assert np.abs(f_hat - cfg.source.f_coeffs).max() / scale < 1e-6
         assert np.abs(phi_hat - cfg.phi.coeffs).max() / scale < 1e-6
 
+    def test_crime_at_alpha_099(self, tmp_path):
+        # every kernel of the crime config at alpha = 0.99 resolves in double
+        # precision; an arbitrary-precision fallback once ran out of budget at z = -27.4
+        text = pathlib.Path(CRIME).read_text().replace("model.alpha    = 0.9\n", "model.alpha    = 0.99\n")
+        assert "model.alpha    = 0.99\n" in text
+        cfg = write(tmp_path, "crime99.cfg", text)
+        out = str(tmp_path / "out")
+        assert main(["forward", cfg, "--out", out, "--quiet"]) == 0
+        assert main(["invert", cfg, str(tmp_path / "out" / "flux.csv"), "--out", out, "--quiet"]) == 0
+
     def test_bad_header_exit_2(self, tmp_path):
         bad = write(tmp_path, "bad.csv", "time,flux\n1.0,2.0\n")
         assert main(["invert", CRIME, bad, "--out", str(tmp_path), "--quiet"]) == 2
@@ -218,3 +231,10 @@ class TestSpecfunCheck:
         assert main(["specfun-check"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is only the reference of specfun-check, imported inside it
+    code = "import sys, fracflux.cli; assert 'mpmath' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -381,9 +381,10 @@ class TestExtendComplex:
             u_0, _ = extend_complex(p, t, phi, psi, src, z0)
             assert np.abs(u_c.mean(axis=1) - u_0).max() < 1e-6
 
-    def test_sector_lattice_needs_no_mpmath(self, monkeypatch):
+    def test_sector_lattice_needs_no_third_parabola(self, monkeypatch):
         # the pole of (s^alpha + xi)^(-gamma) crosses the contour route's fixed
-        # parabola inside this lattice; those points once fell back to mpmath
+        # parabola inside this lattice; the pole-aware parabola resolves those
+        # points, which once fell back to an arbitrary-precision series
         from fracflux import specfun
         from fracflux.config import load_config
 
@@ -393,17 +394,25 @@ class TestExtendComplex:
         r = 0.1 * 20.0 ** ((np.arange(12) + 0.5) / 12)
         theta = 0.9 * theta_max * (2.0 * (np.arange(20) + 0.5) / 20 - 1.0)
         zs = (p.t0 + r[:, None] * np.exp(1j * theta[None, :])).ravel()
-        calls = []
-        original = specfun._mp_series_scalar
+        narrow, unresolved = [], []
+        original_sum, original_diag = specfun._contour_sum, specfun.prabhakar_diag
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted_sum(a, b, g, xi, has_pole, sstar, mu, h, n):
+            if np.ndim(mu) == 0 and mu == specfun._NARROW_MU:
+                narrow.append(xi.size)
+            return original_sum(a, b, g, xi, has_pole, sstar, mu, h, n)
 
-        monkeypatch.setattr(specfun, "_mp_series_scalar", counted)
+        def counted_diag(params, z):
+            vals, est = original_diag(params, z)
+            unresolved.append(int(np.sum(~(est <= specfun.TARGET))))
+            return vals, est
+
+        monkeypatch.setattr(specfun, "_contour_sum", counted_sum)
+        monkeypatch.setattr(specfun, "prabhakar_diag", counted_diag)
         u, v = extend_complex(p, build_mode_table(p, cfg.K), cfg.phi, cfg.psi, cfg.source, zs)
         assert np.isfinite(u).all() and np.isfinite(v).all()
-        assert not calls, f"{len(calls)} points fell back to mpmath"
+        assert unresolved and not sum(unresolved), f"{sum(unresolved)} points unresolved"
+        assert not narrow, f"{sum(narrow) // 2} points reached the third parabola"
 
     def test_sector_enforced(self):
         p = coupled_params(alpha=0.8)

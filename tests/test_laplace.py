@@ -203,6 +203,24 @@ class TestBranchFunction:
         only_entire = sum(ctx.g_eval(k, 1, z) * z for z in zs) / nodes
         assert abs(only_entire) < 1e-10
 
+    @pytest.mark.parametrize("problem", ["ip1", "ip2"])
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("call", ["g_eval", "r_eval", "pole_radii", "pole"])
+    def test_mode_index_outside_1_to_K_rejected(self, call, k, problem):
+        # k = 0 once read mode K through k - 1 = -1, and k = K + 1 ended in an IndexError
+        ctx, *_ = make_ctx(problem, K=4)
+        calls = {
+            "g_eval": lambda: ctx.g_eval(k, 1, 1.5 + 0.5j),
+            "r_eval": lambda: ctx.r_eval(k, 1, 1.5 + 0.5j),
+            "pole_radii": lambda: ctx.pole_radii(k),
+            "pole": lambda: ctx.pole(k),
+        }
+        with pytest.raises(ValueError, match=rf"mode {k} outside 1\.\.4"):
+            calls[call]()
+        column = np.arange(4)[:, None] + (0 if k == 0 else 2)  # modes 0..3 or 2..5
+        with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+            ctx.g_eval(column, 2, np.array([1.5 + 0.5j]))
+
 
 class TestBranchSearch:
     def test_exact_hit_by_construction(self):

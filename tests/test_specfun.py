@@ -141,7 +141,7 @@ class TestPoleBand:
         for beta in np.linspace(alpha, 2.0 * alpha + 4.0, 3):
             vals, _ = prabhakar_diag(PrabhakarParams(alpha, beta, gamma), zs)
             cvals, cest = _contour_route(alpha, beta, gamma, zs)
-            assert (cest <= TARGET).all()  # no point of the band needs the mpmath fallback
+            assert (cest <= TARGET).all()  # the contour route resolves every point of the band
             for z, v, cv, ce in zip(zs, vals, cvals, cest):
                 ref = prabhakar_reference(alpha, beta, gamma, z)
                 assert abs(v - ref) <= 1e-10 * abs(ref)
@@ -189,18 +189,43 @@ class TestBatchInvariance:
         angles = np.where(rng.random(n) < 0.25, 0.0, rng.uniform(-0.99, 0.99, n) * half)
         return -radii * np.exp(1j * angles)
 
+    @staticmethod
+    def assert_splits_match(p, zs):
+        vals, est = prabhakar_diag(p, zs)
+        for i in range(0, zs.size, 3):
+            z = zs[i : i + 1 + i % 3]  # one to three points split off the joint call
+            v, e = prabhakar_diag(p, z)
+            assert v.tobytes() == vals[i : i + z.size].tobytes(), (p, z)
+            assert e.tobytes() == est[i : i + z.size].tobytes(), (p, z)
+
     def test_split_calls_match_the_joint_call_bitwise(self):
         rng = np.random.default_rng(6)
         for _ in range(12):
             alpha = rng.uniform(0.1, 0.99)
             p = PrabhakarParams(alpha, rng.uniform(alpha, 2.0 * alpha + 4.0), float(rng.choice([1.0, 2.0])))
-            zs = self.points(rng, alpha, 48)
-            vals, est = prabhakar_diag(p, zs)
-            for i in range(0, zs.size, 3):
-                z = zs[i : i + 1 + i % 3]  # one to three points split off the joint call
-                v, e = prabhakar_diag(p, z)
-                assert v.tobytes() == vals[i : i + z.size].tobytes(), (p, z)
-                assert e.tobytes() == est[i : i + z.size].tobytes(), (p, z)
+            self.assert_splits_match(p, self.points(rng, alpha, 48))
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_third_parabola_points_mixed_with_ordinary_ones(self, monkeypatch, gamma):
+        # alpha = 0.99 on the negative real axis at |z|^(1/alpha) of 15 to 40:
+        # the values are small against the contour terms, and only the contour
+        # route's third, narrow parabola resolves some of these points
+        from fracflux import specfun
+
+        narrow = []
+        original = specfun._contour_sum
+
+        def counted(a, b, g, xi, has_pole, sstar, mu, h, n):
+            if np.ndim(mu) == 0 and mu == specfun._NARROW_MU:
+                narrow.append(xi.size)
+            return original(a, b, g, xi, has_pole, sstar, mu, h, n)
+
+        monkeypatch.setattr(specfun, "_contour_sum", counted)
+        rng = np.random.default_rng(8)
+        zs = np.concatenate([-np.geomspace(15.0, 40.0, 12) ** 0.99, self.points(rng, 0.99, 36)])
+        rng.shuffle(zs)
+        self.assert_splits_match(PrabhakarParams(0.99, 1.0, gamma), zs)
+        assert narrow and max(narrow) >= 3  # several such points in the joint call
 
 
 class TestRouteOrder:
@@ -275,27 +300,65 @@ class TestRouteOrder:
             ref = complex(mp.hyp1f1(1.5, 1.0, -10.0))
         assert _mp_series_scalar(1.0, 1.0, 1.5, -10.0) == pytest.approx(ref, rel=1e-12)
 
-    def test_fallback_budget_bounds_the_cost(self, monkeypatch):
-        # just outside the sector no double-precision route applies past the
-        # series radius; these six points cost 25 s of mpmath without a budget
-        from fracflux import specfun
-
+    def test_points_past_the_sector_edge_resolve_in_double_precision(self):
+        # just outside the sector, past the series radius, these six points once
+        # went to an arbitrary-precision series that cost 25 s without a budget
         p = PrabhakarParams(0.99, 0.99, 1.0)
         zs = -np.linspace(20.0, 600.0, 6) * np.exp(1.02j * p.sector_half_angle)
-        work = []
-        original = specfun._mp_series_scalar
-
-        def counted(a, b, g, z):
-            work.append(abs(z) ** (1.0 / a))
-            return original(a, b, g, z)
-
-        monkeypatch.setattr(specfun, "_mp_series_scalar", counted)
         start = time.perf_counter()
-        with pytest.raises(AccuracyError, match="fallback budget ran out") as exc:
-            prabhakar_array(p, zs)
+        vals, est = prabhakar_diag(p, zs)
+        assert time.perf_counter() - start < 2.0
+        assert (est <= 1e-10).all()
+        for z, v, e in zip(zs[:3], vals, est):  # the reference costs about 1.5 s at |z| = 20, 136, 252
+            ref = prabhakar_reference(0.99, 0.99, 1.0, z)
+            assert abs(v - ref) <= e * abs(ref)
+
+    @pytest.mark.parametrize("r", [10.0, 25.0, 40.0])
+    def test_unresolved_point_raises_at_once(self, r):
+        # at gamma = 1.5 the pole of (s^a + xi)^(-g) is a branch point that no
+        # residue compensates; the contour route once added a residue here and
+        # ended in a bare ValueError
+        p = PrabhakarParams(0.9, 0.9, 1.5)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="no route resolved it") as exc:
+            prabhakar(p, -r * np.exp(0.95j * p.sector_half_angle))
         assert time.perf_counter() - start < 2.0
         assert exc.value.error_estimate == math.inf
-        assert max(work) <= specfun._MP_MAX_POW and sum(work) <= specfun._MP_BUDGET
+
+
+class TestOutOfSector:
+    """Arguments outside the sector, |Arg z| < alpha pi / 2, where the pole s* of
+    (s^alpha + xi)^(-gamma) lies in the right half-plane and its residue e^(s*)
+    dominates the value.  The series leaves most of them past |s*| = 30 (its
+    powers overflow or its terms cancel), and the contour route takes them
+    with the residue added outside its parabola."""
+
+    def test_values_and_estimates_against_reference(self, monkeypatch):
+        from fracflux import specfun
+
+        handed = []
+        original = specfun._contour_route
+
+        def counted(a, b, g, z):
+            handed.append(z.size)
+            return original(a, b, g, z)
+
+        monkeypatch.setattr(specfun, "_contour_route", counted)
+        rng = np.random.default_rng(4)
+        checked = 0
+        for _ in range(14):
+            alpha = rng.uniform(0.5, 0.99)
+            p = PrabhakarParams(alpha, rng.uniform(alpha, 2.0 * alpha + 4.0), float(rng.choice([1.0, 2.0])))
+            pole = math.exp(rng.uniform(math.log(30.0), math.log(150.0)))  # |s*| = |z|^(1/alpha)
+            z = pole**alpha * np.exp(1j * rng.uniform(-0.99, 0.99) * alpha * math.pi / 2.0)
+            handed.clear()
+            vals, est = prabhakar_diag(p, [z])
+            assert est[0] <= 1e-10, (p, z)
+            if handed:
+                ref = prabhakar_reference(p.alpha, p.beta, p.gamma, z)
+                assert abs(vals[0] - ref) <= est[0] * abs(ref), (p, z)
+                checked += 1
+        assert checked >= 8
 
 
 class TestDerivativeRecurrences:
