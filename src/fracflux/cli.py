@@ -164,7 +164,7 @@ def cmd_laplace_scan(args) -> int:
     table = build_mode_table(cfg.model, cfg.K)
     ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
     res = _grid_spec(cfg.task.get("s_grid"), (0.5, 5.0, 10))
-    ims = float(cfg.task.get("s_imag", 0.0))
+    ims = cfg.task["s_imag"]
     vals = lap.flux_transform(ctx, res + 1j * ims)
     rows = [[re, ims, val.real, val.imag] for re, val in zip(res, vals)]
     _atomic_write(_out(args, "laplace_scan.csv"), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
@@ -227,8 +227,7 @@ def cmd_invert(args) -> int:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
     data = _read_flux_csv(args.data)
-    mu = float(cfg.task.get("mu", 0.0))
-    result = inv.lsq_reconstruct(data, cfg.model, table, cfg.degree, mu=mu)
+    result = inv.lsq_reconstruct(data, cfg.model, table, cfg.degree, mu=cfg.task["mu"])
     _atomic_write(_out(args, "inversion.json"), result.to_json() + "\n")
     _say(
         args,

@@ -35,11 +35,11 @@ def _parse_scalar(text: str):
 
 
 def _real(section: dict, key: str, default: str) -> float:
-    """The value of ``key`` ('section.name') in its parsed section, as a real number."""
+    """The value of ``key`` ('section.name') in its parsed section, as a finite real number."""
     text = section.get(key.split(".", 1)[1], default)
     value = _parse_scalar(text)
-    if not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a real number, got {text!r}")
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite real number, got {text!r}")
     return float(value)
 
 
@@ -199,7 +199,12 @@ def load_config(text: str) -> ExperimentConfig:
     if noise < 0:
         raise ConfigError("data.noise must be >= 0")
 
-    task = {k: _parse_scalar(v) for k, v in raw.get("task", {}).items()}
+    task_raw = raw.get("task", {})
+    task = {k: _parse_scalar(v) for k, v in task_raw.items()}
+    task["mu"] = _real(task_raw, "task.mu", "0.0")
+    task["s_imag"] = _real(task_raw, "task.s_imag", "0.0")
+    if task["mu"] < 0:
+        raise ConfigError(f"task.mu must be >= 0, got {task_raw['mu']!r}")
     # the coupling decides the problem family; a leftover task.problem is
     # accepted only where it agrees with model.a
     family = "ip2" if model.coupled else "ip1"

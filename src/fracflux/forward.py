@@ -30,6 +30,7 @@ from .modes import ModelParams, ModeTable, as_coeffs
 from .specfun import (
     DomainError,
     PrabhakarParams,
+    _gauss_legendre_panels,
     _graded_jacobi_integral,
     _principal_power_array,
     prabhakar,
@@ -482,16 +483,11 @@ def mode_estimate_constant(traj: StateTrajectory, phi, psi, src: SourceSpec) -> 
 # ---------------------------------------------------------------------------
 
 
-def convolve_kernel_quadrature(
-    alpha: float,
-    lam: float,
-    gamma_ml: float,
-    m: int,
-    t: float,
-    t0: float,
-    n_panels: int = 12,
-    nodes: int = 16,
-) -> complex:
+#: panels and Gauss nodes per panel of ``convolve_kernel_quadrature``
+_QUAD_PANELS, _QUAD_NODES = 12, 16
+
+
+def convolve_kernel_quadrature(alpha: float, lam: float, gamma_ml: float, m: int, t: float, t0: float) -> complex:
     """Gauss-Jacobi/graded-panel quadrature of the truncated kernel convolution.
 
     Computes integral over (max(0, t-t0), t) of y^(g a - 1) E^g_{a,ga}(-lam y^a)
@@ -508,13 +504,7 @@ def convolve_kernel_quadrature(
         return prabhakar_array(pml, -lam * y**alpha) * (t - y) ** m
 
     lo = max(0.0, t - t0)
-    total = 0.0 + 0.0j
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
     if lo > 0:
-        edges = np.linspace(lo, t, n_panels + 1)
-        for a_, b_ in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a_ + b_), 0.5 * (b_ - a_)
-            y = mid + half * xg
-            total += half * np.sum(wg * y**wexp * smooth(y))
-        return complex(total)
-    return complex(_graded_jacobi_integral(smooth, wexp, t, n_panels, nodes))
+        y, w = _gauss_legendre_panels(np.linspace(lo, t, _QUAD_PANELS + 1), _QUAD_NODES)
+        return complex(np.sum(w * y**wexp * smooth(y)))
+    return complex(_graded_jacobi_integral(smooth, wexp, t, _QUAD_PANELS, _QUAD_NODES))

@@ -150,8 +150,8 @@ def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None 
         )
     pole = ctx.pole(n)
     contour = _contour_moment(ctx, pole, rad, nodes, order=1)
-    w = pole ** (1.0 / ctx.alpha)
-    closed = cmath.exp(-1j * math.pi * ctx.alpha) * ctx.g_eval(n, 1, w) + pole * ctx.g_eval(n, 2, w)
+    g1, g2 = ctx.g_eval(n, pole ** (1.0 / ctx.alpha))
+    closed = cmath.exp(-1j * math.pi * ctx.alpha) * g1 + pole * g2
     rel = abs(contour - closed) / max(abs(closed), 1e-30)
     return ResidueReport(mode=n, pole=pole, contour_value=contour, closed_form=closed, rel_error=rel)
 
@@ -190,9 +190,8 @@ def _relation_direct(ctx: JumpContext, n: int, root: float, w: complex) -> compl
     p = ctx.params
     lam = ctx.table.lam[n - 1]
     pref = p.varkappa * lam + p.d - root
-    return pref * (ctx.g_eval(n, 1, w) - root * ctx.g_eval(n, 2, w)) - p.a * (
-        ctx.g_eval(n, 3, w) - root * ctx.g_eval(n, 4, w)
-    )
+    g1, g2, g3, g4 = ctx.g_eval(n, w)
+    return pref * (g1 - root * g2) - p.a * (g3 - root * g4)
 
 
 def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
@@ -359,11 +358,7 @@ def _precondition_blocks(t0: float, degree: int, K: int, coupled: bool) -> np.nd
     n = degree + 2
     P = np.eye(n)  # one source row and its initial state: [T, 1]
     P[: n - 1, : n - 1] = _legendre_to_monomial(t0, degree)
-    size = n * K * (2 if coupled else 1)
-    B = np.zeros((size, size), dtype=complex)
-    for o in range(0, size, n):
-        B[o : o + n, o : o + n] = P
-    return B
+    return np.kron(np.eye(K * (2 if coupled else 1)), P)
 
 
 def lsq_reconstruct(

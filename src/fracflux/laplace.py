@@ -60,8 +60,8 @@ def _source_transforms(t0: float, s, *tables) -> list:
     """
     tables = [np.atleast_1d(rows) for rows in tables]
     totals = [0.0 + 0.0j] * len(tables)
-    for m in range(tables[0].shape[-1]):
-        used = [np.any(rows[..., m] != 0) for rows in tables]
+    for m in range(max(rows.shape[-1] for rows in tables)):
+        used = [m < rows.shape[-1] and np.any(rows[..., m] != 0) for rows in tables]
         if any(used):
             L = monomial_laplace_truncated(m, t0, s)
             totals = [tot + rows[..., m] * L if u else tot for tot, rows, u in zip(totals, tables, used)]
@@ -106,7 +106,7 @@ def mode_transform(
         raise DomainError("mode_transform is singular at s = 0 (the s^(alpha-1) factor)")
     sa = _principal_power_array(sp, params.alpha)
     sam1 = _principal_power_array(sp, params.alpha - 1.0)
-    (F,), (X,) = _source_transforms(params.t0, sp, f_row), _source_transforms(params.t0, sp, chi_row)
+    F, X = _source_transforms(params.t0, sp, f_row, chi_row)
     U, V = _mode_transform_core(params, table, j, complex(phi_k), complex(psi_k), F, X, sa, sam1)
     return _shaped(U, s), _shaped(V, s)
 
@@ -174,53 +174,41 @@ class JumpContext:
         r = radii[0] if which == "breve" or len(radii) == 1 else radii[1]
         return -cmath.exp(-1j * math.pi * self.alpha) * r
 
-    # -- entire components --------------------------------------------------
-    def g_eval(self, k, j: int, w):
-        """G_{k,j}(w): entire away from the simple pole of the initial-state terms at 0.
+    # -- entire and rational components -------------------------------------
+    def g_eval(self, k, w) -> list:
+        """[G_{k,1}(w), ..., G_{k,J}(w)], J = ``n_families``: entire away from the initial-state pole at 0.
 
         ``k`` may be a (K, 1) column of modes against an array ``w``, here and in ``r_eval``;
-        a mode outside 1..K raises ValueError.
+        a mode outside 1..K raises ValueError.  The f and chi families share one
+        table of monomial transforms.
         """
         i = self.table.row(k)
         gk = self.table.gamma_trace[i]
-        if j == 1:
-            return _source_transforms(self.src.t0, -w, self.src.f_coeffs[i])[0] * gk
-        if j == 2:
-            return -self.phi[i] * gk / w
-        if j == 3:
-            return _source_transforms(self.src.t0, -w, self.src.chi_coeffs[i])[0] * gk
-        if j == 4:
-            return -self.psi[i] * gk / w
-        raise ValueError(f"family index {j} outside 1..{self.n_families}")
+        F, X = _source_transforms(self.src.t0, -w, self.src.f_coeffs[i], self.src.chi_coeffs[i])
+        return [F * gk, -self.phi[i] * gk / w, X * gk, -self.psi[i] * gk / w][: self.n_families]
 
-    # -- rational components ------------------------------------------------
-    def r_eval(self, k, j: int, z):
-        """R_{k,j}(z): difference of the two cut-edge rational factors."""
+    def r_eval(self, k, z) -> list:
+        """[R_{k,1}(z), ..., R_{k,J}(z)]: differences of the two cut-edge rational factors."""
         eplus = cmath.exp(1j * math.pi * self.alpha)
         eminus = cmath.exp(-1j * math.pi * self.alpha)
         i = self.table.row(k)
         if not self.params.coupled:
             mu = self.params.kappa * self.table.lam[i] + self.params.c
-            if j == 1:
-                return 1.0 / (z * eplus + mu) - 1.0 / (z * eminus + mu)
-            if j == 2:
-                return z * eplus / (z * eplus + mu) - z * eminus / (z * eminus + mu)
-            raise ValueError("ip1 has families j = 1, 2")
+            dp, dm = z * eplus + mu, z * eminus + mu
+            return [1.0 / dp - 1.0 / dm, z * eplus / dp - z * eminus / dm]
         lb = self.table.lam_breve[i]
         lh = self.table.lam_hat[i]
         lam = self.table.lam[i]
         dp = (z * eplus + lb) * (z * eplus + lh)
         dm = (z * eminus + lb) * (z * eminus + lh)
         w = self.params.varkappa * lam + self.params.d
-        if j == 1:
-            return (z * eplus + w) / dp - (z * eminus + w) / dm
-        if j == 2:
-            return z * eplus * (z * eplus + w) / dp - z * eminus * (z * eminus + w) / dm
-        if j == 3:
-            return -self.params.a / dp + self.params.a / dm
-        if j == 4:
-            return -self.params.a * z * eplus / dp + self.params.a * z * eminus / dm
-        raise ValueError("ip2 has families j = 1..4")
+        a = self.params.a
+        return [
+            (z * eplus + w) / dp - (z * eminus + w) / dm,
+            z * eplus * (z * eplus + w) / dp - z * eminus * (z * eminus + w) / dm,
+            -a / dp + a / dm,
+            -a * z * eplus / dp + a * z * eminus / dm,
+        ]
 
     def assert_off_pole_rays(self, z) -> None:
         """Raise PoleLineError naming the first point of ``z`` at 0 or on a pole ray."""
@@ -329,7 +317,7 @@ def q_branch(ctx: JumpContext, n: int, z):
     ctx.assert_off_pole_rays(zp)
     w = _principal_power_array(zp, 1.0 / ctx.alpha) * branch_phase(ctx.alpha, n)
     k = np.arange(1, ctx.K + 1)[:, None]
-    terms = sum(ctx.r_eval(k, j, zp) * ctx.g_eval(k, j, w) for j in range(1, ctx.n_families + 1))
+    terms = sum(r * g for r, g in zip(ctx.r_eval(k, zp), ctx.g_eval(k, w)))
     return _shaped(_sum_over_k(terms), z)
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .specfun import _gauss_legendre_panels
+
 __all__ = [
     "AdmissibilityError",
     "AliasingError",
@@ -247,10 +249,7 @@ def analyze(fieldfunc, K: int, *, grid=None) -> SpectralField:
     if K < 1:
         raise ValueError("K must be >= 1")
     if callable(fieldfunc):
-        xg, wg = np.polynomial.legendre.leggauss(10)
-        edges = np.linspace(0.0, math.pi, max(8, K) + 1)
-        x = np.concatenate([0.5 * (b + a) + 0.5 * (b - a) * xg for a, b in zip(edges[:-1], edges[1:])])
-        w = np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
+        x, w = _gauss_legendre_panels(np.linspace(0.0, math.pi, max(8, K) + 1), 10)
         f = np.asarray(fieldfunc(x), dtype=complex)
     else:
         if grid is None:

@@ -9,7 +9,8 @@ estimate, are tried in a fixed order, each on the points the previous ones left:
    and only where ``|z|**(1/alpha) >= 4``: below that radius the pole term
    ``|s*|**(1-beta) e^(s*) / alpha`` can be huge and cancel against the branch-cut
    integral, so its estimate would not bound the error;
-2. power series (compensated summation) for ``|z| <= 60``;
+2. power series (compensated summation), inside the sector and only for
+   ``|z| <= 60``: its estimate carries a safety factor calibrated there;
 3. numerical inversion of the Laplace-transform identity
    ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
    on a parabolic contour, on every point left, inside the sector or not.  Each point
@@ -33,7 +34,6 @@ All functions are pure; nothing here keeps mutable state, so concurrent use is s
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,6 +61,8 @@ _EPS = 2.220446049250313e-16
 TARGET = 1e-10
 #: estimates above this raise AccuracyError instead of returning flagged values
 HARD_FAIL = 1e-6
+#: most terms of the power series, and the terms of the asymptotic route's table
+_SERIES_NMAX, _ASYM_KMAX = 500, 70
 
 
 class AccuracyError(RuntimeError):
@@ -111,16 +113,9 @@ def principal_power(z: complex, beta: float) -> complex:
     A negative real ``z`` is taken on the upper edge of the cut (Arg = +pi),
     regardless of the sign of a zero imaginary part.
     """
-    if z == 0:
-        if beta > 0:
-            return 0.0 + 0.0j
+    if z == 0 and beta <= 0:
         raise DomainError("0 cannot be raised to a non-positive power")
-    z = complex(z)
-    if z.real < 0.0 and z.imag == 0.0:
-        z = complex(z.real, 0.0)  # drop a negative zero: Arg(-x) = +pi
-    r = abs(z)
-    ang = math.atan2(z.imag, z.real)
-    return cmath.rect(r**beta, beta * ang)
+    return complex(_principal_power_array(z, beta))
 
 
 def _principal_power_array(z: np.ndarray, beta: float) -> np.ndarray:
@@ -143,7 +138,7 @@ def _principal_angle(z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _series_route(a: float, b: float, g: float, z: np.ndarray, nmax: int = 500):
+def _series_route(a: float, b: float, g: float, z: np.ndarray):
     vals = np.zeros(z.shape, dtype=complex)
     comp = np.zeros(z.shape, dtype=complex)  # Neumaier compensation
     maxterm = np.zeros(z.shape)
@@ -153,7 +148,7 @@ def _series_route(a: float, b: float, g: float, z: np.ndarray, nmax: int = 500):
 
     coef = 1.0  # Gamma(g + n) / (Gamma(g) n!)
     zp = np.ones(z.shape, dtype=complex)
-    for n in range(nmax + 1):
+    for n in range(_SERIES_NMAX + 1):
         rg = rgamma(a * n + b)
         term = np.where(active, coef * zp * rg, 0.0)
         t = vals + term
@@ -184,13 +179,22 @@ def _series_route(a: float, b: float, g: float, z: np.ndarray, nmax: int = 500):
     return vals, est
 
 
-def _exp_term(a: float, b: float, g: float, sstar: np.ndarray) -> np.ndarray:
-    """Contribution of the pole of (s^a + xi)^(-g) at s*, exact for g in {1, 2}."""
+def _residue(a: float, b: float, g: float, mask: np.ndarray, sstar: np.ndarray):
+    """(term, rounding): the residue of the pole s* of (s^a + xi)^(-g) where ``mask`` holds, 0 elsewhere.
+
+    Exact for g in {1, 2}.  The phase of xi is off by about eps pi and s* takes
+    it divided by alpha, so s* is off by about eps |s*| (1 + pi / alpha), and
+    e^(s*) by as much in relative terms; ``rounding`` bounds that error.
+    """
+    s = np.where(mask, sstar, 1.0)
     if g == 1.0:
-        return np.exp(sstar) * sstar ** (1.0 - b) / a
-    if g == 2.0:
-        return np.exp(sstar) * sstar ** (2.0 - b) / a**2 * (1.0 + (a - b + 1.0) / sstar)
-    raise ValueError("exponential term implemented for gamma in {1, 2} only")
+        term = np.exp(s) * s ** (1.0 - b) / a
+    elif g == 2.0:
+        term = np.exp(s) * s ** (2.0 - b) / a**2 * (1.0 + (a - b + 1.0) / s)
+    else:
+        raise ValueError("the residue is implemented for gamma in {1, 2} only")
+    term = np.where(mask, term, 0.0)
+    return term, 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(term)
 
 
 def _pole_location(a: float, xi: np.ndarray):
@@ -209,7 +213,7 @@ def _pole_location(a: float, xi: np.ndarray):
 _ASYM_MIN_POW = 4.0
 
 
-def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
+def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     """Algebraic expansion in 1/xi, xi = -z, plus the exponential term of the pole s*.
 
     Valid only where |s*| = |z|^(1/alpha) >= ``_ASYM_MIN_POW``; every other point
@@ -226,11 +230,11 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
     # full term table; individual terms can sit at float-fuzzed poles of Gamma
     # (near-zero rgamma), so truncation decisions must use a two-term envelope
     # rather than raw magnitudes
-    terms = np.zeros((kmax,) + xi.shape, dtype=complex)
+    terms = np.zeros((_ASYM_KMAX,) + xi.shape, dtype=complex)
     coef = 1.0  # binom(g + k - 1, k)
     xpow = _principal_power_array(xi, -g)
     ximinv = 1.0 / xi
-    for k in range(kmax):
+    for k in range(_ASYM_KMAX):
         terms[k] = (-1.0) ** k * coef * xpow * rgamma(b - a * (g + k))
         coef *= (g + k) / (k + 1.0)
         xpow = xpow * ximinv
@@ -243,7 +247,7 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
     tail = np.take_along_axis(envelope, kstar[None], axis=0)[0]
     # term k carries the rounding of its k multiplications by 1/xi, plus a few
     # eps from the principal power, rgamma and the sum
-    weighted = (np.arange(kmax)[:, None] + 4.0) * mags
+    weighted = (np.arange(_ASYM_KMAX)[:, None] + 4.0) * mags
     rounding = _EPS * np.take_along_axis(np.cumsum(weighted, axis=0), kstar[None], axis=0)[0]
 
     if a == 1.0:
@@ -254,12 +258,9 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray, kmax: int = 70):
         has_pole, sstar = _pole_location(a, xi)
     if has_pole.any():
         if g in (1.0, 2.0):
-            pole = np.where(has_pole, _exp_term(a, b, g, np.where(has_pole, sstar, 1.0)), 0.0)
+            pole, pole_rounding = _residue(a, b, g, has_pole, sstar)
             vals = vals + pole
-            # the phase of xi is off by about eps pi and s* takes it divided by
-            # alpha, so s* is off by about eps |s*| (1 + pi / alpha), and e^(s*)
-            # by as much in relative terms
-            rounding = rounding + 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(pole)
+            rounding = rounding + pole_rounding
         else:
             ok = ~has_pole
     # divergent-series truncation is trusted only with a stiff safety factor;
@@ -298,11 +299,9 @@ def _contour_sum(a, b, g, xi, has_pole, sstar, mu, h, n: int):
     err = scale * (tail + rounding)
     outside = has_pole & (np.abs(sstar) * np.cos(np.angle(sstar) / 2.0) ** 2 > mu)
     if outside.any():
-        pole = np.where(outside, _exp_term(a, b, g, np.where(outside, sstar, 1.0)), 0.0)
+        pole, pole_rounding = _residue(a, b, g, outside, sstar)
         vals = np.where(outside, vals + pole, vals)
-        # s* is off by about eps |s*| (1 + pi / alpha), and e^(s*) by as much in
-        # relative terms, as in the asymptotic route
-        err = err + 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(pole)
+        err = err + pole_rounding
     return vals, err
 
 
@@ -427,35 +426,27 @@ def prabhakar_diag(params: PrabhakarParams, z):
     with np.errstate(all="ignore"):
         sector_ok = np.abs(_principal_angle(-zf)) <= 0.9995 * params.sector_half_angle
 
-        # 1. asymptotic expansion where it holds, |z|^(1/alpha) >= _ASYM_MIN_POW
-        #    (its own estimate already carries a factor 100); it is the cheapest
-        #    route, and the points it takes are the ones the series would
-        #    sum longest and then reject
-        cand = todo & sector_ok
-        if cand.any():
-            v, e = _asym_route(a, b, g, zf[cand])
-            acc = e <= TARGET
-            idx = np.flatnonzero(cand)[acc]
-            vals[idx], est[idx] = v[acc], e[acc]
-            todo[idx] = False
-
-        # 2. power series on what is left; its own estimate is optimistic by
-        #    up to a factor 8 on the accuracy sweep, so it carries a factor 25
-        cand = todo & (np.abs(zf) <= 60.0)
-        if cand.any():
-            v, e = _series_route(a, b, g, zf[cand])
-            acc = 25.0 * e <= TARGET
-            idx = np.flatnonzero(cand)[acc]
-            vals[idx], est[idx] = v[acc], 25.0 * e[acc]
-            todo[idx] = False
-
-        # 3. parabolic contour chosen per point from its pole, on every point left
-        if todo.any():
-            v, e = _contour_route(a, b, g, zf[todo])
-            acc = e <= TARGET
-            idx = np.flatnonzero(todo)[acc]
-            vals[idx], est[idx] = v[acc], e[acc]
-            todo[idx] = False
+        # (route, region, safety factor), each route on the points the ones
+        # before it left.  The asymptotic expansion goes first: it is the
+        # cheapest, its estimate already carries a factor 100, and it takes the
+        # points the series would sum longest and then reject.  The series
+        # estimate is optimistic by up to a factor 8 inside the sector, hence
+        # 25; outside it that factor is uncalibrated, so the contour takes
+        # those points with all the rest.  The routes are looked up at call
+        # time, so that a patched module attribute takes effect.
+        routes = (
+            (_asym_route, sector_ok, 1.0),
+            (_series_route, sector_ok & (np.abs(zf) <= 60.0), 25.0),
+            (_contour_route, True, 1.0),
+        )
+        for route, region, safety in routes:
+            cand = todo & region
+            if cand.any():
+                v, e = route(a, b, g, zf[cand])
+                acc = safety * e <= TARGET
+                idx = np.flatnonzero(cand)[acc]
+                vals[idx], est[idx] = v[acc], safety * e[acc]
+                todo[idx] = False
 
         # at alpha = 1 the function is a pure exponential; deep in the sector it
         # underflows doubles and 0 is the correctly rounded value
@@ -597,27 +588,28 @@ def laplace_identity_residual(
     return abs(quad - closed)
 
 
+def _gauss_legendre_panels(edges: np.ndarray, nodes: int):
+    """(x, w): Gauss-Legendre nodes and weights, ``nodes`` points on each panel between consecutive ``edges``."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    mid, half = 0.5 * (edges[1:] + edges[:-1])[:, None], 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return (mid + half * xg).ravel(), (half * wg).ravel()
+
+
 def _graded_jacobi_integral(smooth, weight_exp: float, upper: float, n_panels: int, nodes: int):
     """integral_0^upper t^weight_exp * smooth(t) dt with geometric grading toward 0.
 
     The innermost panel uses a Gauss-Jacobi rule absorbing t^weight_exp exactly;
-    outer panels use Gauss-Legendre.  ``smooth`` must accept numpy arrays.
+    outer panels use Gauss-Legendre.  ``smooth`` must accept numpy arrays; it
+    is called once, on the nodes of every panel.
     """
     from scipy.special import roots_jacobi
 
     edges = upper * 0.25 ** np.arange(n_panels, -1, -1)
-    total = 0.0 + 0.0j
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        t = mid + half * xg
-        total += half * np.sum(wg * t**weight_exp * smooth(t))
-    # innermost [0, edges[0]]
-    eps0 = edges[0]
-    xj, wj = roots_jacobi(nodes, 0.0, weight_exp)
-    t = eps0 * (1.0 + xj) / 2.0
-    total += (eps0 / 2.0) ** (weight_exp + 1.0) * np.sum(wj * smooth(t))
-    return total
+    x, w = _gauss_legendre_panels(edges, nodes)
+    xj, wj = roots_jacobi(nodes, 0.0, weight_exp)  # innermost [0, edges[0]]
+    t = np.concatenate([x, edges[0] * (1.0 + xj) / 2.0])
+    w = np.concatenate([w * x**weight_exp, (edges[0] / 2.0) ** (weight_exp + 1.0) * wj])
+    return np.sum(w * smooth(t))
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,13 @@ class TestConfigValues:
             "data.noise = x",
             "data.noise = 1j",
             "model.alpha = x",
+            "task.mu = abc",
+            "task.mu = 1j",
+            "task.mu = -1",
+            "task.mu = nan",
+            "task.s_imag = abc",
+            "task.s_imag = 1j",
+            "task.s_imag = inf",
         ],
     )
     def test_wrong_kind_exit_2(self, tmp_path, capsys, line):

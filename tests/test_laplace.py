@@ -197,10 +197,11 @@ class TestBranchFunction:
         th = 2 * np.pi * np.arange(nodes) / nodes
         r0 = 0.7
         zs = r0 * np.exp(1j * th)
-        total = sum(ctx.g_eval(k, 1, z) * z + ctx.g_eval(k, 2, z) * z for z in zs) / nodes
+        gs = [ctx.g_eval(k, z) for z in zs]
+        total = sum(g[0] * z + g[1] * z for z, g in zip(zs, gs)) / nodes
         expected = -phi[k - 1] * t.gamma_trace[k - 1]
         assert abs(total - expected) < 1e-8
-        only_entire = sum(ctx.g_eval(k, 1, z) * z for z in zs) / nodes
+        only_entire = sum(g[0] * z for z, g in zip(zs, gs)) / nodes
         assert abs(only_entire) < 1e-10
 
     @pytest.mark.parametrize("problem", ["ip1", "ip2"])
@@ -210,8 +211,8 @@ class TestBranchFunction:
         # k = 0 once read mode K through k - 1 = -1, and k = K + 1 ended in an IndexError
         ctx, *_ = make_ctx(problem, K=4)
         calls = {
-            "g_eval": lambda: ctx.g_eval(k, 1, 1.5 + 0.5j),
-            "r_eval": lambda: ctx.r_eval(k, 1, 1.5 + 0.5j),
+            "g_eval": lambda: ctx.g_eval(k, 1.5 + 0.5j),
+            "r_eval": lambda: ctx.r_eval(k, 1.5 + 0.5j),
             "pole_radii": lambda: ctx.pole_radii(k),
             "pole": lambda: ctx.pole(k),
         }
@@ -219,7 +220,7 @@ class TestBranchFunction:
             calls[call]()
         column = np.arange(4)[:, None] + (0 if k == 0 else 2)  # modes 0..3 or 2..5
         with pytest.raises(ValueError, match=r"outside 1\.\.4"):
-            ctx.g_eval(column, 2, np.array([1.5 + 0.5j]))
+            ctx.g_eval(column, np.array([1.5 + 0.5j]))
 
 
 class TestBranchSearch:

@@ -329,36 +329,22 @@ class TestRouteOrder:
 class TestOutOfSector:
     """Arguments outside the sector, |Arg z| < alpha pi / 2, where the pole s* of
     (s^alpha + xi)^(-gamma) lies in the right half-plane and its residue e^(s*)
-    dominates the value.  The series leaves most of them past |s*| = 30 (its
-    powers overflow or its terms cancel), and the contour route takes them
+    dominates the value.  The series route's safety factor holds only inside the
+    sector: when it still took these points up to |z| = 60, one estimate of this
+    sample fell below its error by a factor 3.1.  The contour route takes them,
     with the residue added outside its parabola."""
 
-    def test_values_and_estimates_against_reference(self, monkeypatch):
-        from fracflux import specfun
-
-        handed = []
-        original = specfun._contour_route
-
-        def counted(a, b, g, z):
-            handed.append(z.size)
-            return original(a, b, g, z)
-
-        monkeypatch.setattr(specfun, "_contour_route", counted)
-        rng = np.random.default_rng(4)
-        checked = 0
+    def test_values_and_estimates_against_reference(self):
+        rng = np.random.default_rng(2)
         for _ in range(14):
-            alpha = rng.uniform(0.5, 0.99)
+            alpha = rng.uniform(0.1, 0.99)
             p = PrabhakarParams(alpha, rng.uniform(alpha, 2.0 * alpha + 4.0), float(rng.choice([1.0, 2.0])))
             pole = math.exp(rng.uniform(math.log(30.0), math.log(150.0)))  # |s*| = |z|^(1/alpha)
             z = pole**alpha * np.exp(1j * rng.uniform(-0.99, 0.99) * alpha * math.pi / 2.0)
-            handed.clear()
             vals, est = prabhakar_diag(p, [z])
             assert est[0] <= 1e-10, (p, z)
-            if handed:
-                ref = prabhakar_reference(p.alpha, p.beta, p.gamma, z)
-                assert abs(vals[0] - ref) <= est[0] * abs(ref), (p, z)
-                checked += 1
-        assert checked >= 8
+            ref = prabhakar_reference(p.alpha, p.beta, p.gamma, z)
+            assert abs(vals[0] - ref) <= est[0] * abs(ref), (p, z, abs(vals[0] - ref) / abs(ref), est[0])
 
 
 class TestDerivativeRecurrences:
