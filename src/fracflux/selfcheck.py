@@ -78,7 +78,7 @@ def specfun_identity_suite() -> list[tuple[bool, str]]:
             err <= 1e-10,
             f"sector-edge small argument (0.1, 4.2, 1) at |z| = 0.05: rel err {err:.2e} vs truncated series "
             "(tol 1e-10); guards the route order zero, asymptotic (inside the sector, only where "
-            "|z|^(1/alpha) >= 4), series (inside the sector, |z| <= 60), contour",
+            "|z|^(1/alpha) >= 4), series (|z| <= 60, inside the sector at gamma in {1, 2}), contour",
         )
     )
 

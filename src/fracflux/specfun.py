@@ -9,8 +9,8 @@ estimate, are tried in a fixed order, each on the points the previous ones left:
    and only where ``|z|**(1/alpha) >= 4``: below that radius the pole term
    ``|s*|**(1-beta) e^(s*) / alpha`` can be huge and cancel against the branch-cut
    integral, so its estimate would not bound the error;
-2. power series (compensated summation), inside the sector and only for
-   ``|z| <= 60``: its estimate carries a safety factor calibrated there;
+2. power series (compensated summation) for ``|z| <= 60``, inside the sector (where its
+   safety factor is calibrated) and, at gamma outside {1, 2}, outside it as well;
 3. numerical inversion of the Laplace-transform identity
    ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
    on a parabolic contour, on every point left, inside the sector or not.  Each point
@@ -431,12 +431,12 @@ def prabhakar_diag(params: PrabhakarParams, z):
         # cheapest, its estimate already carries a factor 100, and it takes the
         # points the series would sum longest and then reject.  The series
         # estimate is optimistic by up to a factor 8 inside the sector, hence
-        # 25; outside it that factor is uncalibrated, so the contour takes
-        # those points with all the rest.  The routes are looked up at call
-        # time, so that a patched module attribute takes effect.
+        # 25; outside it the contour takes the points, except at gamma outside
+        # {1, 2}, where their pole is a branch point.  The routes are looked up
+        # at call time, so that a patched module attribute takes effect.
         routes = (
             (_asym_route, sector_ok, 1.0),
-            (_series_route, sector_ok & (np.abs(zf) <= 60.0), 25.0),
+            (_series_route, (sector_ok | (g not in (1.0, 2.0))) & (np.abs(zf) <= 60.0), 25.0),
             (_contour_route, True, 1.0),
         )
         for route, region, safety in routes:

@@ -346,6 +346,36 @@ class TestOutOfSector:
             ref = prabhakar_reference(p.alpha, p.beta, p.gamma, z)
             assert abs(vals[0] - ref) <= est[0] * abs(ref), (p, z, abs(vals[0] - ref) / abs(ref), est[0])
 
+    def test_small_poles_against_reference(self):
+        # |s*| from 0.05 to 30, the positive real axis included: points the
+        # series took while it ran outside the sector, now the contour's
+        rng = np.random.default_rng(5)
+        for _ in range(14):
+            alpha = rng.uniform(0.1, 0.99)
+            p = PrabhakarParams(alpha, rng.uniform(alpha, 2.0 * alpha + 4.0), float(rng.choice([1.0, 2.0])))
+            pole = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+            z = pole**alpha * np.exp(1j * rng.uniform(0.0, 0.99) * alpha * math.pi / 2.0)
+            vals, est = prabhakar_diag(p, [z, z.real])
+            for zi, v, e in zip((z, z.real), vals, est):
+                assert e <= 1e-10, (p, zi)
+                ref = prabhakar_reference(p.alpha, p.beta, p.gamma, zi)
+                assert abs(v - ref) <= e * abs(ref), (p, zi, abs(v - ref) / abs(ref), e)
+
+    def test_fractional_gamma(self):
+        # at gamma outside {1, 2} the pole is a branch point the contour cannot
+        # take, so the series keeps the points outside the sector
+        import mpmath as mp
+
+        for x in (0.5, 2.0, 10.0):
+            for beta in (2.0, 0.7):
+                with mp.workdps(40):
+                    ref = complex(mp.hyp1f1(1.5, beta, x) * mp.rgamma(beta))
+                assert prabhakar(PrabhakarParams(1.0, beta, 1.5), x) == pytest.approx(ref, rel=1e-10)
+        p = PrabhakarParams(0.9, 0.9, 1.5)
+        for z in (1.0, 0.3, 5.0 * np.exp(0.6j * 0.9 * math.pi / 2.0), 20.0 * np.exp(-0.3j * 0.9 * math.pi / 2.0)):
+            ref = prabhakar_reference(0.9, 0.9, 1.5, z)
+            assert prabhakar(p, z) == pytest.approx(ref, rel=1e-10)
+
 
 class TestDerivativeRecurrences:
     # d/dz E^1_{a,1} = E^2_{a,a+1} and d/dz E^1_{a,a} = E^2_{a,2a}
