@@ -159,35 +159,34 @@ def _grid_spec(spec, default: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def cmd_laplace_scan(args) -> int:
+def _laplace_context(args) -> tuple[ExperimentConfig, lap.JumpContext]:
     cfg = _load(args)
     table = build_mode_table(cfg.model, cfg.K)
-    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
+    return cfg, lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
+
+
+def _write_scan(args, name: str, re_s, im_s: float, values) -> int:
+    rows = [[re, im_s, val.real, val.imag] for re, val in zip(re_s, values)]
+    _atomic_write(_out(args, name), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
+    _say(args, f"wrote {name} ({len(rows)} rows) to {args.out}")
+    return 0
+
+
+def cmd_laplace_scan(args) -> int:
+    cfg, ctx = _laplace_context(args)
     res = _grid_spec(cfg.task.get("s_grid"), (0.5, 5.0, 10))
     ims = cfg.task["s_imag"]
-    vals = lap.flux_transform(ctx, res + 1j * ims)
-    rows = [[re, ims, val.real, val.imag] for re, val in zip(res, vals)]
-    _atomic_write(_out(args, "laplace_scan.csv"), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
-    _say(args, f"wrote laplace_scan.csv ({len(rows)} rows) to {args.out}")
-    return 0
+    return _write_scan(args, "laplace_scan.csv", res, ims, lap.flux_transform(ctx, res + 1j * ims))
 
 
 def cmd_jump_scan(args) -> int:
-    cfg = _load(args)
-    table = build_mode_table(cfg.model, cfg.K)
-    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
+    cfg, ctx = _laplace_context(args)
     rhos = _grid_spec(cfg.task.get("rho_grid"), (0.5, 2.0, 10))
-    vals = lap.jump(ctx, rhos)
-    rows = [[rho, 0.0, val.real, val.imag] for rho, val in zip(rhos, vals)]
-    _atomic_write(_out(args, "jump_scan.csv"), _csv(["re_s", "im_s", "re_value", "im_value"], rows))
-    _say(args, f"wrote jump_scan.csv ({len(rows)} rows) to {args.out}")
-    return 0
+    return _write_scan(args, "jump_scan.csv", rhos, 0.0, lap.jump(ctx, rhos))
 
 
 def cmd_residues(args) -> int:
-    cfg = _load(args)
-    table = build_mode_table(cfg.model, cfg.K)
-    ctx = lap.make_jump_context(cfg.model, table, cfg.phi, cfg.psi, cfg.source)
+    cfg, ctx = _laplace_context(args)
     modes_opt = cfg.task.get("modes")
     try:
         if modes_opt is None:

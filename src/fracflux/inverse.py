@@ -122,17 +122,21 @@ def _safe_radius(ctx: JumpContext, r0: float, gap: float) -> float:
     return min(0.4 * gap, 0.5 * ctx.alpha * r0 ** ((ctx.alpha - 1.0) / ctx.alpha))
 
 
-def _contour_moment(ctx: JumpContext, center: complex, radius: float, nodes: int, order: int) -> complex:
+#: trapezoid nodes on a residue circle
+_CONTOUR_NODES = 64
+
+
+def _contour_moment(ctx: JumpContext, center: complex, radius: float, order: int) -> complex:
     """(1/2 pi i) contour integral of (z - center)^(order-1) Q(0, z) on a circle.
 
     One ``q_branch`` call takes every node; the nodes are summed in node order.
     """
-    e = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    e = np.exp(1j * (2.0 * math.pi * np.arange(_CONTOUR_NODES) / _CONTOUR_NODES))
     terms = q_branch(ctx, 0, center + radius * e) * (radius * e) ** (order - 1) * radius * e
-    return complex(np.cumsum(terms, axis=0)[-1] / nodes)
+    return complex(np.cumsum(terms, axis=0)[-1] / _CONTOUR_NODES)
 
 
-def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None = None) -> ResidueReport:
+def residue_ip1(ctx: JumpContext, n: int) -> ResidueReport:
     """Contour residue of Q(0, .) at the mode-n pole vs its closed form (a = 0 family).
 
     The closed form is e^(-i pi alpha) G_{n,1}(z_n^(1/alpha)) + z_n G_{n,2}(z_n^(1/alpha)).
@@ -141,15 +145,9 @@ def residue_ip1(ctx: JumpContext, n: int, nodes: int = 64, radius: float | None 
     if ctx.params.coupled:
         raise ValueError("residue_ip1 needs an ip1 context (a = 0)")
     ctx.table.row(n)
-    gap = _pole_gap(ctx, n, "breve")
-    rad = _safe_radius(ctx, ctx.pole_radii(n)[0], gap) if radius is None else float(radius)
-    if rad >= 0.99 * gap or rad <= 0:
-        raise GeometryError(
-            f"circle radius {rad:.6g} unsafe; poles/rays within {gap:.6g}, "
-            f"suggested {_safe_radius(ctx, ctx.pole_radii(n)[0], gap):.6g}"
-        )
+    rad = _safe_radius(ctx, ctx.pole_radii(n)[0], _pole_gap(ctx, n, "breve"))
     pole = ctx.pole(n)
-    contour = _contour_moment(ctx, pole, rad, nodes, order=1)
+    contour = _contour_moment(ctx, pole, rad, order=1)
     g1, g2 = ctx.g_eval(n, pole ** (1.0 / ctx.alpha))
     closed = cmath.exp(-1j * math.pi * ctx.alpha) * g1 + pole * g2
     rel = abs(contour - closed) / max(abs(closed), 1e-30)
@@ -194,7 +192,7 @@ def _relation_direct(ctx: JumpContext, n: int, root: float, w: complex) -> compl
     return pref * (g1 - root * g2) - p.a * (g3 - root * g4)
 
 
-def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
+def residue_ip2(ctx: JumpContext, n: int) -> Ip2ResidueResult:
     """Residues at both mode-n poles of the coupled jump series with extraction checks.
 
     Distinct roots give two simple poles whose residues encode the two scalar
@@ -224,7 +222,7 @@ def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
             raise GeometryError(f"cannot separate the merged pole pair from neighbors (gap {gap:.3g})")
         pole = ctx.pole(n, "breve")
         w = pole ** (1.0 / ctx.alpha)
-        second = _contour_moment(ctx, pole, rad, nodes, order=2)
+        second = _contour_moment(ctx, pole, rad, order=2)
         closed = epa**2 * _relation_direct(ctx, n, lb, w)
         rel = abs(second - closed) / max(abs(closed), 1e-30)
         rep = ResidueReport(mode=n, pole=pole, contour_value=second, closed_form=closed, rel_error=rel, order=2)
@@ -245,7 +243,7 @@ def residue_ip2(ctx: JumpContext, n: int, nodes: int = 64) -> Ip2ResidueResult:
         rad = _safe_radius(ctx, root, gap)
         pole = ctx.pole(n, which)
         w = pole ** (1.0 / ctx.alpha)
-        contour = _contour_moment(ctx, pole, rad, nodes, order=1)
+        contour = _contour_moment(ctx, pole, rad, order=1)
         rel_direct = _relation_direct(ctx, n, root, w)
         closed = epa * rel_direct / (other - root)
         rel = abs(contour - closed) / max(abs(closed), 1e-30)

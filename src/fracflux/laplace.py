@@ -1,5 +1,5 @@
 """Laplace-domain layer: mode transforms, boundary-flux transform, branch-cut jump,
-the rational/entire function families behind it, and the dense-branch search.
+the entire function families behind it, and the dense-branch search.
 
 With sources confined to (0, t0) the mode transforms are rational in s^alpha
 times entire functions of s (truncated monomial transforms), so the flux
@@ -7,7 +7,8 @@ transform extends analytically to the slit plane and has one-sided limits on
 the negative real axis.  The jump across the cut, reparametrized by
 rho = r^alpha, is a series of products R_k(rho) G_k(rho^(1/alpha)) whose
 entire components can be rotated to other branches of the 1/alpha power; that
-rotation is the branch function evaluated here.
+rotation is the branch function evaluated here.  Both are differences of the
+flux series on the two edges of the cut (``_cut_edges``).
 
 Evaluators are pure and a JumpContext is immutable.  Every evaluator takes a
 scalar or an array of points through one code path (a scalar is a one-point
@@ -45,6 +46,8 @@ __all__ = [
 
 #: relative padding used when refusing evaluation on the pole rays
 _POLE_RAY_ATOL = 1e-9
+#: fractional parts of n / alpha closer than this count as one branch point
+_ORBIT_TOL = 1e-9
 
 
 class PoleLineError(DomainError):
@@ -66,14 +69,6 @@ def _source_transforms(t0: float, s, *tables) -> list:
             L = monomial_laplace_truncated(m, t0, s)
             totals = [tot + rows[..., m] * L if u else tot for tot, rows, u in zip(totals, tables, used)]
     return totals
-
-
-def _sum_over_k(terms: np.ndarray) -> np.ndarray:
-    """Sum (K, N) mode terms in k order, starting from a complex zero (so a -0.0 part comes out +0.0)."""
-    total = np.zeros(terms.shape[1:], dtype=complex)
-    for term in terms:
-        total = total + term
-    return total
 
 
 def _points(x) -> np.ndarray:
@@ -137,9 +132,9 @@ class JumpContext:
     """Everything the jump/branch/residue machinery needs, frozen at build time.
 
     The coupling ``params.a`` fixes the family: a = 0 gives the decoupled
-    single-equation family (IP1, two R/G pairs per mode built on
-    kappa lam_k + c), a != 0 the coupled family (IP2, four pairs per mode
-    built on the root pair lam_breve/lam_hat).
+    single-equation family (IP1, two entire components per mode, poles at
+    kappa lam_k + c), a != 0 the coupled family (IP2, four components per
+    mode, poles at the root pair lam_breve/lam_hat).
     """
 
     params: ModelParams
@@ -156,10 +151,6 @@ class JumpContext:
     def K(self) -> int:
         return self.table.K
 
-    @property
-    def n_families(self) -> int:
-        return 4 if self.params.coupled else 2
-
     # -- pole geometry ------------------------------------------------------
     def pole_radii(self, k: int) -> tuple[float, ...]:
         """Radii of the mode-k poles on the ray Arg z = pi (1 - alpha)."""
@@ -174,41 +165,16 @@ class JumpContext:
         r = radii[0] if which == "breve" or len(radii) == 1 else radii[1]
         return -cmath.exp(-1j * math.pi * self.alpha) * r
 
-    # -- entire and rational components -------------------------------------
     def g_eval(self, k, w) -> list:
-        """[G_{k,1}(w), ..., G_{k,J}(w)], J = ``n_families``: entire away from the initial-state pole at 0.
+        """[G_{k,1}(w), ..., G_{k,J}(w)], J = 2 (IP1) or 4 (IP2): entire away from the initial-state pole at 0.
 
-        ``k`` may be a (K, 1) column of modes against an array ``w``, here and in ``r_eval``;
-        a mode outside 1..K raises ValueError.  The f and chi families share one
-        table of monomial transforms.
+        The residue closed forms of ``fracflux.inverse`` take them at a pole's 1/alpha power.  ``k`` may be
+        a (K, 1) column of modes against an array ``w``; a mode outside 1..K raises ValueError.
         """
         i = self.table.row(k)
         gk = self.table.gamma_trace[i]
         F, X = _source_transforms(self.src.t0, -w, self.src.f_coeffs[i], self.src.chi_coeffs[i])
-        return [F * gk, -self.phi[i] * gk / w, X * gk, -self.psi[i] * gk / w][: self.n_families]
-
-    def r_eval(self, k, z) -> list:
-        """[R_{k,1}(z), ..., R_{k,J}(z)]: differences of the two cut-edge rational factors."""
-        eplus = cmath.exp(1j * math.pi * self.alpha)
-        eminus = cmath.exp(-1j * math.pi * self.alpha)
-        i = self.table.row(k)
-        if not self.params.coupled:
-            mu = self.params.kappa * self.table.lam[i] + self.params.c
-            dp, dm = z * eplus + mu, z * eminus + mu
-            return [1.0 / dp - 1.0 / dm, z * eplus / dp - z * eminus / dm]
-        lb = self.table.lam_breve[i]
-        lh = self.table.lam_hat[i]
-        lam = self.table.lam[i]
-        dp = (z * eplus + lb) * (z * eplus + lh)
-        dm = (z * eminus + lb) * (z * eminus + lh)
-        w = self.params.varkappa * lam + self.params.d
-        a = self.params.a
-        return [
-            (z * eplus + w) / dp - (z * eminus + w) / dm,
-            z * eplus * (z * eplus + w) / dp - z * eminus * (z * eminus + w) / dm,
-            -a / dp + a / dm,
-            -a * z * eplus / dp + a * z * eminus / dm,
-        ]
+        return [F * gk, -self.phi[i] * gk / w, X * gk, -self.psi[i] * gk / w][: 4 if self.params.coupled else 2]
 
     def assert_off_pole_rays(self, z) -> None:
         """Raise PoleLineError naming the first point of ``z`` at 0 or on a pole ray."""
@@ -253,7 +219,10 @@ def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"]):
     """One-sided limit of the flux transform at s = -r from above (+) or below (-)."""
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    return _cut_limits(ctx, r, side)[0]
+    rp = np.asarray(r, dtype=float).ravel()
+    if (rp <= 0).any():
+        raise DomainError("r must be positive")
+    return _shaped(_cut_edges(ctx, rp, rp**ctx.alpha, rp ** (ctx.alpha - 1.0))["+-".index(side)], r)
 
 
 def jump(ctx: JumpContext, rho):
@@ -264,22 +233,18 @@ def jump(ctx: JumpContext, rho):
     """
     if (np.asarray(rho) <= 0).any():
         raise DomainError("rho must be positive")
-    r = np.asarray(rho, dtype=float) ** (1.0 / ctx.alpha)
-    upper, lower = _cut_limits(ctx, r, "+", "-")
-    return upper - lower
+    r = np.asarray(rho, dtype=float).ravel() ** (1.0 / ctx.alpha)
+    upper, lower = _cut_edges(ctx, r, r**ctx.alpha, r ** (ctx.alpha - 1.0))
+    return _shaped(upper - lower, rho)
 
 
-def _cut_limits(ctx: JumpContext, r, *sides: str) -> list:
-    """The one-sided limits at s = -r, one per side; the sides share the source transforms at -r."""
-    rp = np.asarray(r, dtype=float).ravel()
-    if (rp <= 0).any():
-        raise DomainError("r must be positive")
-    F, X = _flux_sources(ctx, -rp)
-    limits = []
-    for side in sides:
-        phase = cmath.exp((1.0 if side == "+" else -1.0) * 1j * math.pi * ctx.alpha)
-        limits.append(_shaped(_flux_sum(ctx, F, X, rp**ctx.alpha * phase, -(rp ** (ctx.alpha - 1.0)) * phase), r))
-    return limits
+def _cut_edges(ctx: JumpContext, w, za, zam1) -> list:
+    """The flux series on the upper, then the lower edge: s^alpha = za e^(+-i pi alpha), s^(alpha-1) =
+    -zam1 e^(+-i pi alpha), and the source transforms at s = -w, shared by the two edges.  These are the
+    limits at the cut point s = -w for za = w^alpha, zam1 = w^(alpha-1); ``q_branch`` rotates w."""
+    F, X = _flux_sources(ctx, -w)
+    phases = [cmath.exp(sign * 1j * math.pi * ctx.alpha) for sign in (1.0, -1.0)]
+    return [_flux_sum(ctx, F, X, za * phase, -zam1 * phase) for phase in phases]
 
 
 def _flux_sources(ctx: JumpContext, s) -> list:
@@ -288,10 +253,13 @@ def _flux_sources(ctx: JumpContext, s) -> list:
 
 
 def _flux_sum(ctx: JumpContext, F, X, sa, sam1) -> np.ndarray:
-    """The flux series from the source transforms F, X and s^alpha, s^(alpha-1) at its points."""
+    """The flux series from the source transforms F, X and s^alpha, s^(alpha-1), summed in k order."""
     j = np.arange(ctx.K)[:, None]
     U, _ = _mode_transform_core(ctx.params, ctx.table, j, ctx.phi[j], ctx.psi[j], F, X, sa, sam1)
-    return _sum_over_k(U * ctx.table.gamma_trace[j])
+    total = np.zeros(U.shape[1:], dtype=complex)  # from a complex zero, so a -0.0 part comes out +0.0
+    for term in U * ctx.table.gamma_trace[j]:
+        total = total + term
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +276,7 @@ def branch_phase(alpha: float, n: int) -> complex:
 def q_branch(ctx: JumpContext, n: int, z):
     """Q(n, z) = sum_k sum_j R_{k,j}(z) G_{k,j}(z^(1/alpha) e^(i 2 pi n / alpha)).
 
+    The difference of the cut-edge series at za = z, zam1 = z / w, w = z^(1/alpha) e^(i 2 pi n / alpha).
     Takes a scalar or an array ``z``; every point must lie off 0 and the pole
     rays.  Branch 0 on the positive real axis reproduces the jump series.
     """
@@ -316,9 +285,8 @@ def q_branch(ctx: JumpContext, n: int, z):
     zp = _points(z)
     ctx.assert_off_pole_rays(zp)
     w = _principal_power_array(zp, 1.0 / ctx.alpha) * branch_phase(ctx.alpha, n)
-    k = np.arange(1, ctx.K + 1)[:, None]
-    terms = sum(r * g for r, g in zip(ctx.r_eval(k, zp), ctx.g_eval(k, w)))
-    return _shaped(_sum_over_k(terms), z)
+    upper, lower = _cut_edges(ctx, w, zp, zp / w)
+    return _shaped(upper - lower, z)
 
 
 def branch_search(alpha: float, y: float, eps: float, n_max: int) -> int | None:
@@ -338,9 +306,9 @@ def branch_search(alpha: float, y: float, eps: float, n_max: int) -> int | None:
     return int(hits[0] + 1) if hits.size else None
 
 
-def branch_orbit_size(alpha: float, n_max: int = 1000, tol: float = 1e-9) -> int:
-    """Number of distinct branch points {e^(i 2 pi n / alpha)}: q for alpha = p/q."""
+def branch_orbit_size(alpha: float, n_max: int = 1000) -> int:
+    """Number of distinct branch points {e^(i 2 pi n / alpha)}: p for alpha = p/q in lowest terms."""
     n = np.arange(1, n_max + 1, dtype=float)
     frac = np.sort(np.mod(n / alpha, 1.0))
     gaps = np.diff(np.concatenate([frac, [frac[0] + 1.0]]))
-    return int(np.sum(gaps > tol))
+    return int(np.sum(gaps > _ORBIT_TOL))

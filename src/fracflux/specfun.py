@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
+from scipy.special import gamma, psi, rgamma
 
 __all__ = [
     "AccuracyError",
@@ -234,8 +234,25 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     coef = 1.0  # binom(g + k - 1, k)
     xpow = _principal_power_array(xi, -g)
     ximinv = 1.0 / xi
+    # term k carries the rounding of its k multiplications by 1/xi, plus a few
+    # eps from the principal power, rgamma and the sum.  The argument x of
+    # rgamma is off by up to eps (a (g + k) + |x|), which moves rgamma(x) by
+    # |psi(x)| times that, relative: many eps near a pole of Gamma.  On a pole,
+    # x = -m, rgamma(x) = 0 has slope m! = Gamma(1 - x), which counts unless x
+    # is exact, that is, unless b + m = a (g + k) holds in rationals too.
+    ks = np.arange(_ASYM_KMAX)
+    x = b - a * (g + ks)
+    rg = rgamma(x)
+    slack = a * (g + ks) + np.abs(x)
+    weights = ks + 4.0 + np.where(rg != 0.0, np.abs(psi(x)) * slack, 0.0)
+    (na, da), (nb, db), (ng, dg) = (float(v).as_integer_ratio() for v in (a, b, g))
+    poles = np.flatnonzero((rg == 0.0) & (x <= 0.0))
+    inexact = {k for k in poles if (nb - int(x[k]) * db) * da * dg != na * (ng + int(k) * dg) * db}
+    on_pole = {}
     for k in range(_ASYM_KMAX):
-        terms[k] = (-1.0) ** k * coef * xpow * rgamma(b - a * (g + k))
+        terms[k] = (-1.0) ** k * coef * xpow * rg[k]
+        if k in inexact:
+            on_pole[k] = gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
         coef *= (g + k) / (k + 1.0)
         xpow = xpow * ximinv
     mags = np.abs(terms)
@@ -245,9 +262,9 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     cums = np.cumsum(terms, axis=0)
     vals = np.take_along_axis(cums, kstar[None], axis=0)[0]
     tail = np.take_along_axis(envelope, kstar[None], axis=0)[0]
-    # term k carries the rounding of its k multiplications by 1/xi, plus a few
-    # eps from the principal power, rgamma and the sum
-    weighted = (np.arange(_ASYM_KMAX)[:, None] + 4.0) * mags
+    weighted = weights[:, None] * mags
+    for k, extra in on_pole.items():
+        weighted[k] += extra
     rounding = _EPS * np.take_along_axis(np.cumsum(weighted, axis=0), kstar[None], axis=0)[0]
 
     if a == 1.0:

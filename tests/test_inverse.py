@@ -8,7 +8,6 @@ import pytest
 
 from fracflux.forward import FluxTrace, SourceSpec, boundary_flux, solve
 from fracflux.inverse import (
-    GeometryError,
     SeparationError,
     conditioning_probe,
     lsq_reconstruct,
@@ -81,11 +80,6 @@ class TestResidueIp1:
         ctx2 = make_jump_context(p, t, phi2, np.zeros(5), SourceSpec(degree=2, t0=p.t0, f_coeffs=f2, chi_coeffs=np.zeros((5, 3))))
         rep = residue_ip1(ctx2, 3)
         assert abs(rep.contour_value) < 1e-8
-
-    def test_unsafe_radius_rejected(self):
-        ctx, *_ = ip1_ctx()
-        with pytest.raises(GeometryError, match="suggested"):
-            residue_ip1(ctx, 2, radius=100.0)
 
     def test_json_roundtrip(self):
         ctx, *_ = ip1_ctx()

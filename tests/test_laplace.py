@@ -165,6 +165,33 @@ class TestBranchFunction:
         for rho in (0.5, 1.0, 2.0):
             assert q_branch(ctx, 0, rho) == pytest.approx(jump(ctx, rho), rel=1e-10)
 
+    @pytest.mark.parametrize("problem", ["ip1", "ip2"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rotated_branch_residues_match_closed_forms(self, problem, n):
+        # near a pole z_k only the rational factors of Q(n, .) are singular, so its
+        # contour moment is the residue closed form of fracflux.inverse with the
+        # entire components at the rotated point z_k^(1/alpha) e^(i 2 pi n / alpha),
+        # a check that does not go through the cut-edge series
+        from fracflux import inverse
+
+        ctx, p, *_ = make_ctx(problem, seed=19)
+        epa = cmath.exp(-1j * math.pi * p.alpha)
+        e = np.exp(2j * math.pi * np.arange(64) / 64)
+        for k in (1, 2, 3):
+            radii = dict(zip(("breve", "hat"), ctx.pole_radii(k)))
+            for which, root in radii.items():
+                pole = ctx.pole(k, which)
+                rad = inverse._safe_radius(ctx, root, inverse._pole_gap(ctx, k, which))
+                contour = np.mean(q_branch(ctx, n, pole + rad * e) * rad * e)
+                w = pole ** (1.0 / p.alpha) * branch_phase(p.alpha, n)
+                if problem == "ip1":
+                    g1, g2 = ctx.g_eval(k, w)
+                    closed = epa * g1 + pole * g2
+                else:
+                    other = radii["hat" if which == "breve" else "breve"]
+                    closed = epa * inverse._relation_direct(ctx, k, root, w) / (other - root)
+                assert abs(contour - closed) <= 1e-12 * abs(closed), (k, which)
+
     def test_zero_data_all_branches(self):
         ctx, p, t, *_ = make_ctx()
         zero_ctx = make_jump_context(p, t, np.zeros(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0))
@@ -206,13 +233,12 @@ class TestBranchFunction:
 
     @pytest.mark.parametrize("problem", ["ip1", "ip2"])
     @pytest.mark.parametrize("k", [0, 5])
-    @pytest.mark.parametrize("call", ["g_eval", "r_eval", "pole_radii", "pole"])
+    @pytest.mark.parametrize("call", ["g_eval", "pole_radii", "pole"])
     def test_mode_index_outside_1_to_K_rejected(self, call, k, problem):
         # k = 0 once read mode K through k - 1 = -1, and k = K + 1 ended in an IndexError
         ctx, *_ = make_ctx(problem, K=4)
         calls = {
             "g_eval": lambda: ctx.g_eval(k, 1.5 + 0.5j),
-            "r_eval": lambda: ctx.r_eval(k, 1.5 + 0.5j),
             "pole_radii": lambda: ctx.pole_radii(k),
             "pole": lambda: ctx.pole(k),
         }
@@ -335,10 +361,10 @@ class TestArrayPath:
         for mode in (1, 2):
             calls.clear()
             if problem == "ip1":
-                rep = inverse.residue_ip1(ctx, mode, nodes=48)
+                rep = inverse.residue_ip1(ctx, mode)
             else:
-                rr = inverse.residue_ip2(ctx, mode, nodes=48)
+                rr = inverse.residue_ip2(ctx, mode)
                 assert rr.coalescent == (moments == 1)
                 rep = rr.report_breve
-            assert calls == [48] * moments
+            assert calls == [inverse._CONTOUR_NODES] * moments
             assert rep.rel_error < 1e-6

@@ -174,6 +174,44 @@ class TestAccuracySweep:
                     assert err <= est[i], (beta, gamma, zs[i], err, est[i])
 
 
+class TestAsymptoticRounding:
+    """Points where the asymptotic route is exact to a few eps, so its estimate is
+    its rounding bound alone.  There the argument x = b - a (gamma + k) of
+    1/Gamma lies near or on a pole of Gamma, and the rounding of x was once the
+    largest error and missing from the estimate."""
+
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, r",
+        [
+            (0.7, 1.0, 1.5, np.geomspace(0.05, 150.0**0.7, 10)[8]),  # |z| = 16.20
+            (0.7, 1.0, 1.5, 150.0**0.7),  # |z| = 33.36
+            (0.99, 0.99, 2.0, 60.0),
+        ],
+    )
+    def test_estimate_bounds_the_error(self, alpha, beta, gamma, r):
+        from fracflux.specfun import _asym_route
+
+        zs = r * np.exp(1j * np.linspace(0.0, math.pi, 13)[9:])  # Arg z / pi = 0.75, 0.833, 0.917, 1
+        vals, est = _asym_route(alpha, beta, gamma, zs)
+        for z, v, e in zip(zs, vals, est):
+            ref = prabhakar_reference(alpha, beta, gamma, z)
+            assert abs(v - ref) <= e * abs(ref), (z, abs(v - ref) / abs(ref), e)
+
+    @pytest.mark.parametrize("alpha", [0.7, 0.9, 0.99])
+    def test_estimate_bounds_an_argument_rounded_onto_a_pole(self, alpha):
+        # the Prabhakar kernel's beta = alpha gamma at gamma = 1.5: b - a g is 0 in
+        # doubles but not exactly, so the leading term comes out as 0 though it
+        # is not; the estimate once fell up to 350 times below the error
+        from fracflux.specfun import _asym_route
+
+        beta = alpha * 1.5
+        zs = -np.geomspace(20.0, min(60.0, 150.0**alpha), 3)
+        vals, est = _asym_route(alpha, beta, 1.5, zs)
+        for z, v, e in zip(zs, vals, est):
+            ref = prabhakar_reference(alpha, beta, 1.5, z)
+            assert abs(v - ref) <= e * abs(ref), (z, abs(v - ref) / abs(ref), e)
+
+
 class TestBatchInvariance:
     """A point's value and estimate do not depend on the other points of its
     call, so the solver may put every kernel of one (alpha, beta, gamma) into one
