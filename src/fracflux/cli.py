@@ -26,7 +26,7 @@ import numpy as np
 
 from . import inverse as inv
 from . import laplace as lap
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_integer
 from .forward import FluxTrace, boundary_flux, solve
 from .modes import AdmissibilityError, build_mode_table, check_separation
 from .specfun import AccuracyError, DomainError
@@ -188,15 +188,11 @@ def cmd_jump_scan(args) -> int:
 def cmd_residues(args) -> int:
     cfg, ctx = _laplace_context(args)
     modes_opt = cfg.task.get("modes")
-    try:
-        if modes_opt is None:
-            modes = list(range(1, cfg.K + 1))
-        elif isinstance(modes_opt, str):
-            modes = [int(v) for v in modes_opt.split(",")]
-        else:
-            modes = [int(modes_opt)]
-    except (TypeError, ValueError):
-        raise ConfigError(f"task.modes must list mode numbers, got {modes_opt!r}") from None
+    if modes_opt is None:
+        modes = list(range(1, cfg.K + 1))
+    else:
+        # a scalar came parsed, a comma list as its text
+        modes = [parse_integer(v, "task.modes") for v in str(modes_opt).split(",")]
     bad = [n for n in modes if not 1 <= n <= cfg.K]
     if bad:
         raise ConfigError(f"task.modes {bad} outside 1..disc.K = {cfg.K}")

@@ -17,7 +17,7 @@ import numpy as np
 from .forward import SourceSpec
 from .modes import ModelParams, SpectralField, analyze
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config"]
+__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_integer", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -43,13 +43,20 @@ def _real(section: dict, key: str, default: str) -> float:
     return float(value)
 
 
-def _integer(section: dict, key: str, default: str) -> int:
-    """The value of ``key`` ('section.name') in its parsed section, as an integer."""
-    text = section.get(key.split(".", 1)[1], default)
+def parse_integer(text: str, key: str) -> int:
+    """``text`` as an integer: an integer or an integral float such as ``2.0``.
+
+    Anything else raises ``ConfigError`` naming ``key`` and the text.
+    """
     value = _parse_scalar(text)
     if not (isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
         raise ConfigError(f"{key} must be an integer, got {text!r}")
     return int(value)
+
+
+def _integer(section: dict, key: str, default: str) -> int:
+    """The value of ``key`` ('section.name') in its parsed section, as an integer."""
+    return parse_integer(section.get(key.split(".", 1)[1], default), key)
 
 
 def _parse_list(text: str) -> list:

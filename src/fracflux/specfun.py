@@ -8,7 +8,10 @@ estimate, are tried in a fixed order, each on the points the previous ones left:
 1. algebraic asymptotic expansion plus the exponential (pole) term, inside the sector
    and only where ``|z|**(1/alpha) >= 4``: below that radius the pole term
    ``|s*|**(1-beta) e^(s*) / alpha`` can be huge and cancel against the branch-cut
-   integral, so its estimate would not bound the error;
+   integral, so its estimate would not bound the error.  The expansion is cut at
+   the minimum of its two-term envelope; each point sums its terms only until it
+   is provably past that minimum (a reflection-formula bound on the later terms)
+   or the envelope is negligible against its sum, at most 70 terms;
 2. power series (compensated summation) for ``|z| <= 60``, inside the sector (where its
    safety factor is calibrated) and, at gamma outside {1, 2}, outside it as well;
 3. numerical inversion of the Laplace-transform identity
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, psi, rgamma
+from scipy.special import gamma, gammaln, psi, rgamma
 
 __all__ = [
     "AccuracyError",
@@ -61,7 +64,7 @@ _EPS = 2.220446049250313e-16
 TARGET = 1e-10
 #: estimates above this raise AccuracyError instead of returning flagged values
 HARD_FAIL = 1e-6
-#: most terms of the power series, and the terms of the asymptotic route's table
+#: most terms of the power series, and of the asymptotic expansion before its cut
 _SERIES_NMAX, _ASYM_KMAX = 500, 70
 
 
@@ -211,6 +214,10 @@ def _pole_location(a: float, xi: np.ndarray):
 #: the asymptotic route holds where |s*| = |z|**(1/alpha) is at least this; on the
 #: captured benchmark calls 2, 4 and 8 pick the same routes and the same values
 _ASYM_MIN_POW = 4.0
+#: rows of the asymptotic expansion summed between two checks of its stop rules
+_ASYM_BLOCK = 8
+#: an envelope row this small against |sum + residue| ends a point's sum
+_ASYM_NEGLIGIBLE = 2.0**-60
 
 
 def _asym_route(a: float, b: float, g: float, z: np.ndarray):
@@ -221,25 +228,49 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     |s*|^(1 - beta) and cancels against the branch-cut integral, so a huge term
     swamps the relative estimate: at alpha = 0.1, beta = 4.2, |z| = 0.05 near the
     sector edge the estimate read 1.6e-39 for a value off by a relative 1e+44.
+
+    The divergent series is cut at the minimum of its two-term envelope
+    max(|term k|, |term k+1|) over the first ``_ASYM_KMAX`` terms.  Terms are
+    summed ``_ASYM_BLOCK`` rows at a time, on the points still active, and a
+    point stops at the end of a block once one of two rules holds:
+
+    * past the minimum: by the reflection formula, 1/|Gamma(x)| =
+      |sin pi x| Gamma(1 - x) / pi for x <= 0, so |term j| = S_j |xi|^(-g-j)
+      sigma_j with a smooth S_j and sigma_j = |sin pi x_j| (1 for x_j > 0).
+      Once log |xi| is at most every later log(S_(j+1) / S_j), S_j |xi|^(-j)
+      can no longer fall, and every later envelope row is at least
+      S_J |xi|^(-g-J) times the least later max(sigma_j, sigma_(j+1)).  When
+      that bound, less a margin for the rounding of the magnitudes, is above
+      the running minimum, the minimum is final: the point's cut, value and
+      estimate are those of the full table, bit for bit;
+    * negligible: the envelope minimum is at most ``_ASYM_NEGLIGIBLE`` of
+      |partial sum + residue|, so a later, smaller one would move the value
+      and the estimate below the rounding.
     """
     xi_all = -np.asarray(z, dtype=complex)
     valid = np.abs(xi_all) ** (1.0 / a) >= _ASYM_MIN_POW
     xi = xi_all[valid]
-    ok = np.ones(xi.shape, dtype=bool)
 
-    # full term table; individual terms can sit at float-fuzzed poles of Gamma
-    # (near-zero rgamma), so truncation decisions must use a two-term envelope
-    # rather than raw magnitudes
-    terms = np.zeros((_ASYM_KMAX,) + xi.shape, dtype=complex)
-    coef = 1.0  # binom(g + k - 1, k)
-    xpow = _principal_power_array(xi, -g)
-    ximinv = 1.0 / xi
-    # term k carries the rounding of its k multiplications by 1/xi, plus a few
-    # eps from the principal power, rgamma and the sum.  The argument x of
-    # rgamma is off by up to eps (a (g + k) + |x|), which moves rgamma(x) by
-    # |psi(x)| times that, relative: many eps near a pole of Gamma.  On a pole,
-    # x = -m, rgamma(x) = 0 has slope m! = Gamma(1 - x), which counts unless x
-    # is exact, that is, unless b + m = a (g + k) holds in rationals too.
+    if a == 1.0:
+        # s + xi vanishes at s = -xi for every xi, on the positive real axis of xi
+        # too, where the contour route can ignore it but this expansion cannot
+        has_pole, sstar = np.ones(xi.shape, dtype=bool), -xi
+    else:
+        has_pole, sstar = _pole_location(a, xi)
+    # at gamma outside {1, 2} the pole is a branch point that no residue compensates
+    ok = ~has_pole if g not in (1.0, 2.0) else np.ones(xi.shape, dtype=bool)
+    add_pole = g in (1.0, 2.0) and has_pole.any()
+    pole, pole_rounding = _residue(a, b, g, has_pole, sstar) if add_pole else (np.zeros(xi.shape), 0.0)
+
+    # individual terms can sit at float-fuzzed poles of Gamma (near-zero
+    # rgamma), so truncation decisions must use a two-term envelope rather
+    # than raw magnitudes.  Term k carries the rounding of its k
+    # multiplications by 1/xi, plus a few eps from the principal power, rgamma
+    # and the sum.  The argument x of rgamma is off by up to eps (a (g + k) +
+    # |x|), which moves rgamma(x) by |psi(x)| times that, relative: many eps
+    # near a pole of Gamma.  On a pole, x = -m, rgamma(x) = 0 has slope m! =
+    # Gamma(1 - x), which counts unless x is exact, that is, unless b + m =
+    # a (g + k) holds in rationals too.
     ks = np.arange(_ASYM_KMAX)
     x = b - a * (g + ks)
     rg = rgamma(x)
@@ -248,38 +279,73 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     (na, da), (nb, db), (ng, dg) = (float(v).as_integer_ratio() for v in (a, b, g))
     poles = np.flatnonzero((rg == 0.0) & (x <= 0.0))
     inexact = {k for k in poles if (nb - int(x[k]) * db) * da * dg != na * (ng + int(k) * dg) * db}
-    on_pole = {}
+
+    # tables of the past-the-minimum rule: log S_k, the suffix minima of
+    # log(S_(k+1) / S_k) and of max(sigma_k, sigma_(k+1))
+    positive = x > 0.0
+    lg = gammaln(np.where(positive, x, 1.0 - x))
+    log_s = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) + np.where(positive, -lg, lg - math.log(math.pi))
+    sigma = np.where(positive, 1.0, np.abs(np.sin(math.pi * (x - np.round(x)))))
+    rise = np.minimum.accumulate(np.diff(log_s)[::-1])[::-1]
+    floor = np.minimum.accumulate(np.maximum(sigma[:-1], sigma[1:])[::-1])[::-1]
+
+    # each active point keeps the partial sums of its terms (psum) and of their
+    # rounding weights (pw), its last magnitude (prev), and its envelope
+    # minimum so far (best) with the two partial sums there (vbest, wbest)
+    vals = np.zeros(xi.shape, dtype=complex)
+    tail = np.full(xi.shape, np.inf)
+    wsum = np.zeros(xi.shape)
+    act = np.flatnonzero(ok)
+    xpow = _principal_power_array(xi, -g)[act]
+    ximinv = 1.0 / xi[act]
+    log_xi = np.log(np.abs(xi[act]))
+    pole_act = pole[act]
+    coef = 1.0  # binom(g + k - 1, k)
     for k in range(_ASYM_KMAX):
-        terms[k] = (-1.0) ** k * coef * xpow * rg[k]
+        if not act.size:
+            break
+        term = (-1.0) ** k * coef * xpow * rg[k]
+        mag = np.abs(term)
+        mag[np.isnan(mag)] = np.inf
+        weighted = weights[k] * mag
         if k in inexact:
-            on_pole[k] = gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
+            weighted += gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
+        if k == 0:
+            psum, pw = term, weighted
+            best, vbest, wbest = np.full(act.shape, np.inf), psum.copy(), pw.copy()
+        else:
+            # envelope row k - 1 against the partial sums through term k - 1
+            env = np.maximum(prev, mag)
+            lower = env < best
+            np.copyto(best, env, where=lower)
+            np.copyto(vbest, psum, where=lower)
+            np.copyto(wbest, pw, where=lower)
+            psum = psum + term
+            pw = pw + weighted
+        prev = mag
         coef *= (g + k) / (k + 1.0)
         xpow = xpow * ximinv
-    mags = np.abs(terms)
-    mags[~np.isfinite(mags)] = np.inf
-    envelope = np.maximum(mags[:-1], mags[1:])
-    kstar = np.argmin(envelope, axis=0)  # truncate at the envelope minimum
-    cums = np.cumsum(terms, axis=0)
-    vals = np.take_along_axis(cums, kstar[None], axis=0)[0]
-    tail = np.take_along_axis(envelope, kstar[None], axis=0)[0]
-    weighted = weights[:, None] * mags
-    for k, extra in on_pole.items():
-        weighted[k] += extra
-    rounding = _EPS * np.take_along_axis(np.cumsum(weighted, axis=0), kstar[None], axis=0)[0]
-
-    if a == 1.0:
-        # s + xi vanishes at s = -xi for every xi, on the positive real axis of xi
-        # too, where the contour route can ignore it but this expansion cannot
-        has_pole, sstar = np.ones(xi.shape, dtype=bool), -xi
-    else:
-        has_pole, sstar = _pole_location(a, xi)
-    if has_pole.any():
-        if g in (1.0, 2.0):
-            pole, pole_rounding = _residue(a, b, g, has_pole, sstar)
-            vals = vals + pole
-            rounding = rounding + pole_rounding
+        if k == _ASYM_KMAX - 1:
+            stop = np.ones(act.shape, dtype=bool)
+        elif (k + 1) % _ASYM_BLOCK == 0:
+            # envelope rows k and later are still to come.  The margin 2^-20
+            # covers the rounding of the magnitudes, about (k + 10) eps, and of
+            # the bound, about eps (|log S_k| + (g + k) log |xi|) < 1e-12
+            bound = np.exp(log_s[k] - (g + k) * log_xi) * floor[k] * (1.0 - 2.0**-20)
+            stop = ((log_xi <= rise[k]) & (bound > best)) | (best <= _ASYM_NEGLIGIBLE * np.abs(vbest + pole_act))
         else:
-            ok = ~has_pole
+            continue
+        if stop.any():
+            done = act[stop]
+            vals[done], tail[done], wsum[done] = vbest[stop], best[stop], wbest[stop]
+            keep = ~stop
+            act, xpow, ximinv, log_xi, pole_act = act[keep], xpow[keep], ximinv[keep], log_xi[keep], pole_act[keep]
+            psum, pw, prev, best, vbest, wbest = psum[keep], pw[keep], prev[keep], best[keep], vbest[keep], wbest[keep]
+
+    rounding = _EPS * wsum
+    if add_pole:
+        vals = vals + pole
+        rounding = rounding + pole_rounding
     # divergent-series truncation is trusted only with a stiff safety factor;
     # an identically vanishing algebraic part (alpha = 1 reduces to a pure
     # exponential) carries no information and must not be trusted either

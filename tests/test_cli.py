@@ -183,12 +183,19 @@ class TestTaskOptions:
         assert not (tmp_path / "jump_scan.csv").exists()
         assert not (tmp_path / "inversion.json").exists()
 
-    @pytest.mark.parametrize("modes", ["9", "0", "1,5", "x", "1j"])
+    @pytest.mark.parametrize("modes", ["9", "0", "1,5", "x", "1j", "2.5"])
     def test_modes_outside_range_exit_2(self, tmp_path, capsys, modes):
         cfg = write(tmp_path, "modes.cfg", pathlib.Path(DEMO).read_text() + f"task.modes = {modes}\n")
         assert main(["residues", cfg, "--out", str(tmp_path), "--quiet"]) == 2
         assert "task.modes" in capsys.readouterr().err
         assert not (tmp_path / "residues.json").exists()
+
+    @pytest.mark.parametrize("modes, expected", [("2.0", [2]), ("1,2.0", [1, 2])])
+    def test_integral_float_modes_run(self, tmp_path, modes, expected):
+        cfg = write(tmp_path, "modes.cfg", pathlib.Path(DEMO).read_text() + f"task.modes = {modes}\n")
+        assert main(["residues", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        reports = json.loads((tmp_path / "residues.json").read_text())
+        assert [r["report_breve"]["mode"] for r in reports] == expected
 
     @pytest.mark.parametrize("grid", ["1:2:x", "1:2", "1:2:0", "a:2:3"])
     def test_malformed_grid_spec_exit_2(self, tmp_path, capsys, grid):

@@ -212,6 +212,45 @@ class TestAsymptoticRounding:
             assert abs(v - ref) <= e * abs(ref), (z, abs(v - ref) / abs(ref), e)
 
 
+class TestAsymptoticEarlyStop:
+    """``_asym_route`` sums its expansion a block of rows at a time and drops a
+    point once it is provably past its envelope minimum or its envelope is
+    negligible.  It must give the cut of the full 70-term table: alpha from 0.1
+    to 1, beta from alpha to 4.9, gamma in {1, 1.5, 2}, |s*| = |z|^(1/alpha)
+    from 4 to 1e4 and Arg(-z) up to 0.9995 of the half-angle."""
+
+    def test_matches_the_full_table(self):
+        from _oracles import asym_route_full_table
+        from fracflux.specfun import TARGET, _asym_route
+
+        accepted_total = moved_total = 0
+        for alpha in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.9, 0.99, 1.0):
+            angles = np.linspace(0.0, 0.9995, 13) * (2.0 - alpha) * math.pi / 2.0
+            zs = -(np.geomspace(4.0, 1e4, 40)[:, None] ** alpha * np.exp(1j * angles[None, :])).ravel()
+            for beta in (alpha, 1.0, alpha + 1.0, 2.0 * alpha + 2.3, 4.9):
+                for gamma in (1.0, 1.5, 2.0):
+                    key = (alpha, beta, gamma)
+                    vals, est = _asym_route(alpha, beta, gamma, zs)
+                    ref_vals, ref_est = asym_route_full_table(alpha, beta, gamma, zs)
+                    accepted = ref_est <= TARGET
+                    assert ((est <= TARGET) == accepted).all(), key
+                    # a later, smaller envelope row than a negligible one moves
+                    # the estimate by at most 100 times the negligible fraction
+                    assert (est <= ref_est + 100.0 * 2.0**-60).all(), key
+                    # a point that stops past its minimum keeps the table's
+                    # cut, hence its estimate and its value, bit for bit
+                    same_est = est.view(np.int64) == ref_est.view(np.int64)
+                    same_val = (vals.view(np.int64).reshape(-1, 2) == ref_vals.view(np.int64).reshape(-1, 2)).all(1)
+                    assert (same_val | ~same_est | ~accepted).all(), key
+                    moved = accepted & ~same_val
+                    rel = np.abs(vals[moved] - ref_vals[moved]) / np.abs(ref_vals[moved])
+                    assert (rel <= 1e-16).all(), (key, rel.max())
+                    accepted_total += accepted.sum()
+                    moved_total += moved.sum()
+        assert accepted_total > 40000  # the lattice reaches the accepted region
+        assert moved_total <= accepted_total // 1000, moved_total
+
+
 class TestBatchInvariance:
     """A point's value and estimate do not depend on the other points of its
     call, so the solver may put every kernel of one (alpha, beta, gamma) into one
@@ -264,6 +303,20 @@ class TestBatchInvariance:
         rng.shuffle(zs)
         self.assert_splits_match(PrabhakarParams(0.99, 1.0, gamma), zs)
         assert narrow and max(narrow) >= 3  # several such points in the joint call
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_asymptotic_active_set_mixed_in_one_call(self, gamma):
+        # the asymptotic route drops each point from its active set on its own
+        # stop rule.  At alpha = 0.3, |s*| = |z|^(1/alpha) of 4.5 to 12 stops past
+        # the envelope minimum, 25 to 50 runs to the 70-row cap, and 1e11 to 1e12
+        # stops on a negligible row of the first block
+        rng = np.random.default_rng(9)
+        half = (2.0 - 0.3) * math.pi / 2.0
+        pows = np.concatenate([np.geomspace(4.5, 12.0, 8), np.geomspace(25.0, 50.0, 8), np.geomspace(1e11, 1e12, 8)])
+        zs = -(pows**0.3) * np.exp(1j * rng.uniform(-0.99, 0.99, pows.size) * half)
+        zs = np.concatenate([zs, self.points(rng, 0.3, 24)])
+        rng.shuffle(zs)
+        self.assert_splits_match(PrabhakarParams(0.3, 1.0, gamma), zs)
 
 
 class TestRouteOrder:
