@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -148,13 +149,13 @@ def _grid_spec(spec, default: tuple[float, float, int]) -> np.ndarray:
     if spec is None:
         lo, hi, n = default
     else:
-        bad = ConfigError(f"grid spec must be 'lo:hi:n' with n >= 1, got {spec!r}")
+        bad = ConfigError(f"grid spec must be 'lo:hi:n' with finite lo and hi and n >= 1, got {spec!r}")
         try:
             lo, hi, n = str(spec).split(":")  # ValueError unless exactly three parts
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError:
             raise bad from None
-        if n < 1:
+        if n < 1 or not np.isfinite([lo, hi]).all():
             raise bad
     return np.linspace(lo, hi, n)
 
@@ -209,12 +210,17 @@ def _read_flux_csv(path: str) -> FluxTrace:
         if header[:3] != ["t", "re_h", "im_h"]:
             raise ConfigError(f"flux CSV must start with header t,re_h,im_h, got {header}")
         ts, vs = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            t, re, im = line.split(",")[:3]
-            ts.append(float(t))
-            vs.append(complex(float(re), float(im)))
+            try:
+                t, re, im = (float(v) for v in line.split(",")[:3])  # ValueError below three numbers
+                if not all(map(math.isfinite, (t, re, im))):
+                    raise ValueError
+            except ValueError:
+                raise ConfigError(f"flux CSV line {lineno} must start with three finite numbers, got {line.strip()!r}") from None
+            ts.append(t)
+            vs.append(complex(re, im))
     return FluxTrace(time_grid=np.asarray(ts), values=np.asarray(vs))
 
 

@@ -59,17 +59,21 @@ def _integer(section: dict, key: str, default: str) -> int:
     return parse_integer(section.get(key.split(".", 1)[1], default), key)
 
 
-def _parse_list(text: str) -> list:
-    return [_parse_scalar(p) for p in text.split(",") if p.strip()]
+def _number(entry: str, key: str, text: str) -> complex:
+    """One entry of ``text``, the value of ``key``, as a finite (complex) number."""
+    value = _parse_scalar(entry)
+    if not (isinstance(value, (int, float, complex)) and np.isfinite(value)):
+        raise ConfigError(f"{key} entries must be finite numbers, got {entry.strip()!r} in {text!r}")
+    return complex(value)
 
 
-def _parse_table(text: str) -> list[list]:
-    rows = []
-    for row in text.split(";"):
-        row = row.strip()
-        if row:
-            rows.append([_parse_scalar(p) for p in row.replace(",", " ").split()])
-    return rows
+def _parse_list(text: str, key: str) -> list[complex]:
+    return [_number(p, key, text) for p in text.split(",") if p.strip()]
+
+
+def _parse_table(text: str, key: str) -> list[list[complex]]:
+    rows = (row.replace(",", " ").split() for row in text.split(";"))
+    return [[_number(p, key, text) for p in row] for row in rows if row]
 
 
 def parse_config(text: str) -> dict[str, dict[str, str]]:
@@ -149,11 +153,11 @@ def _field_from(data: dict, key: str, K: int) -> SpectralField:
     raw = data.get(key)
     if raw is None:
         return SpectralField.zero(K)
-    vals = _parse_list(raw)
+    vals = _parse_list(raw, f"data.{key}")
     if len(vals) > K:
         raise ConfigError(f"data.{key} has {len(vals)} entries, disc.K = {K}")
     coeffs = np.zeros(K, dtype=complex)
-    coeffs[: len(vals)] = [complex(v) for v in vals]
+    coeffs[: len(vals)] = vals
     return SpectralField(coeffs)
 
 
@@ -162,13 +166,13 @@ def _source_table(data: dict, key: str, K: int, degree: int, t0: float) -> np.nd
     out = np.zeros((K, degree + 1), dtype=complex)
     if raw is None:
         return out
-    rows = _parse_table(raw)
+    rows = _parse_table(raw, f"data.{key}")
     if len(rows) > K:
         raise ConfigError(f"data.{key} has {len(rows)} rows, disc.K = {K}")
     for i, row in enumerate(rows):
         if len(row) > degree + 1:
             raise ConfigError(f"data.{key} row {i + 1} has {len(row)} entries, disc.M = {degree}")
-        out[i, : len(row)] = [complex(v) for v in row]
+        out[i, : len(row)] = row
     return out
 
 

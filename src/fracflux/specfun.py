@@ -12,8 +12,8 @@ estimate, are tried in a fixed order, each on the points the previous ones left:
    the minimum of its two-term envelope; each point sums its terms only until it
    is provably past that minimum (a reflection-formula bound on the later terms)
    or the envelope is negligible against its sum, at most 70 terms;
-2. power series (compensated summation) for ``|z| <= 60``, inside the sector (where its
-   safety factor is calibrated) and, at gamma outside {1, 2}, outside it as well;
+2. power series (compensated summation) for ``|z| <= 60``, inside the sector only, where
+   its safety factor is calibrated;
 3. numerical inversion of the Laplace-transform identity
    ``L[t^{b-1} E^g_{a,b}(-lam t^a)](s) = s^{a g - b} / (s^a + lam)^g``
    on a parabolic contour, on every point left, inside the sector or not.  Each point
@@ -89,7 +89,10 @@ class PrabhakarParams:
     """Parameter triple (alpha, beta, gamma) of E^gamma_{alpha,beta}.
 
     alpha in (0, 1] (the solver uses alpha < 1; alpha = 1 is allowed for the
-    exponential reference identities), beta >= 0, gamma > 0.
+    exponential reference identities), beta >= 0, gamma 1 or 2: the solver builds
+    E^1, and E^2 where two roots merge into a double pole.  At these orders the
+    pole of (s^alpha + xi)^(-gamma) has a closed-form residue, which the
+    asymptotic and contour routes add.
     """
 
     alpha: float
@@ -101,8 +104,8 @@ class PrabhakarParams:
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.beta < 0.0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.gamma <= 0.0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
+        if self.gamma not in (1.0, 2.0):
+            raise DomainError(f"gamma must be 1 or 2, got {self.gamma}")
 
     @property
     def sector_half_angle(self) -> float:
@@ -169,8 +172,6 @@ def _series_route(a: float, b: float, g: float, z: np.ndarray):
             break
         coef *= (g + n) / (n + 1.0)
         zp = zp * z
-        if coef > 1e280:
-            break
         # elements whose powers overflow cannot be finished in doubles
         blown = active & (np.abs(zp) > 1e280)
         if blown.any():
@@ -185,18 +186,17 @@ def _series_route(a: float, b: float, g: float, z: np.ndarray):
 def _residue(a: float, b: float, g: float, mask: np.ndarray, sstar: np.ndarray):
     """(term, rounding): the residue of the pole s* of (s^a + xi)^(-g) where ``mask`` holds, 0 elsewhere.
 
-    Exact for g in {1, 2}.  The phase of xi is off by about eps pi and s* takes
-    it divided by alpha, so s* is off by about eps |s*| (1 + pi / alpha), and
-    e^(s*) by as much in relative terms; ``rounding`` bounds that error.
+    A simple pole at g = 1, a double one at g = 2.  The phase of xi is off by
+    about eps pi and s* takes it divided by alpha, so s* is off by about
+    eps |s*| (1 + pi / alpha), and e^(s*) by as much in relative terms;
+    ``rounding`` bounds that error.
     """
-    s = np.where(mask, sstar, 1.0)
+    s = sstar[mask]
+    term = np.zeros(mask.shape, dtype=complex)
     if g == 1.0:
-        term = np.exp(s) * s ** (1.0 - b) / a
-    elif g == 2.0:
-        term = np.exp(s) * s ** (2.0 - b) / a**2 * (1.0 + (a - b + 1.0) / s)
+        term[mask] = np.exp(s) * s ** (1.0 - b) / a
     else:
-        raise ValueError("the residue is implemented for gamma in {1, 2} only")
-    term = np.where(mask, term, 0.0)
+        term[mask] = np.exp(s) * s ** (2.0 - b) / a**2 * (1.0 + (a - b + 1.0) / s)
     return term, 2.0 * _EPS * (1.0 + math.pi / a) * np.abs(sstar) * np.abs(term)
 
 
@@ -257,10 +257,7 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
         has_pole, sstar = np.ones(xi.shape, dtype=bool), -xi
     else:
         has_pole, sstar = _pole_location(a, xi)
-    # at gamma outside {1, 2} the pole is a branch point that no residue compensates
-    ok = ~has_pole if g not in (1.0, 2.0) else np.ones(xi.shape, dtype=bool)
-    add_pole = g in (1.0, 2.0) and has_pole.any()
-    pole, pole_rounding = _residue(a, b, g, has_pole, sstar) if add_pole else (np.zeros(xi.shape), 0.0)
+    pole, pole_rounding = _residue(a, b, g, has_pole, sstar)
 
     # individual terms can sit at float-fuzzed poles of Gamma (near-zero
     # rgamma), so truncation decisions must use a two-term envelope rather
@@ -276,9 +273,9 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     rg = rgamma(x)
     slack = a * (g + ks) + np.abs(x)
     weights = ks + 4.0 + np.where(rg != 0.0, np.abs(psi(x)) * slack, 0.0)
-    (na, da), (nb, db), (ng, dg) = (float(v).as_integer_ratio() for v in (a, b, g))
+    (na, da), (nb, db) = (float(v).as_integer_ratio() for v in (a, b))
     poles = np.flatnonzero((rg == 0.0) & (x <= 0.0))
-    inexact = {k for k in poles if (nb - int(x[k]) * db) * da * dg != na * (ng + int(k) * dg) * db}
+    inexact = {k for k in poles if (nb - int(x[k]) * db) * da != na * (int(g) + int(k)) * db}
 
     # tables of the past-the-minimum rule: log S_k, the suffix minima of
     # log(S_(k+1) / S_k) and of max(sigma_k, sigma_(k+1))
@@ -295,11 +292,11 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     vals = np.zeros(xi.shape, dtype=complex)
     tail = np.full(xi.shape, np.inf)
     wsum = np.zeros(xi.shape)
-    act = np.flatnonzero(ok)
-    xpow = _principal_power_array(xi, -g)[act]
-    ximinv = 1.0 / xi[act]
-    log_xi = np.log(np.abs(xi[act]))
-    pole_act = pole[act]
+    act = np.arange(xi.size)
+    xpow = _principal_power_array(xi, -g)
+    ximinv = 1.0 / xi
+    log_xi = np.log(np.abs(xi))
+    pole_act = pole
     coef = 1.0  # binom(g + k - 1, k)
     for k in range(_ASYM_KMAX):
         if not act.size:
@@ -342,15 +339,13 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
             act, xpow, ximinv, log_xi, pole_act = act[keep], xpow[keep], ximinv[keep], log_xi[keep], pole_act[keep]
             psum, pw, prev, best, vbest, wbest = psum[keep], pw[keep], prev[keep], best[keep], vbest[keep], wbest[keep]
 
-    rounding = _EPS * wsum
-    if add_pole:
-        vals = vals + pole
-        rounding = rounding + pole_rounding
+    vals = vals + pole
+    rounding = _EPS * wsum + pole_rounding
     # divergent-series truncation is trusted only with a stiff safety factor;
     # an identically vanishing algebraic part (alpha = 1 reduces to a pure
     # exponential) carries no information and must not be trusted either
     est = (100.0 * tail + rounding) / np.maximum(np.abs(vals), 1e-290)
-    est = np.where(ok & ~((tail <= 0.0) & (np.abs(vals) == 0.0)), est, np.inf)
+    est = np.where((tail <= 0.0) & (np.abs(vals) == 0.0), np.inf, est)
 
     vals_all = np.zeros(xi_all.shape, dtype=complex)
     est_all = np.full(xi_all.shape, np.inf)
@@ -409,18 +404,12 @@ def _contour_route(a: float, b: float, g: float, z: np.ndarray):
     It covers alpha near 1 on and near the negative axis, where the value is
     small against the terms, which reach e^mu near u = 0, so that a smaller mu
     cuts their rounding.  The estimate adds the difference of the two node
-    counts to the bounds of ``_contour_sum``.  A pole at gamma outside {1, 2}
-    is a branch point that no residue compensates; its point gets an infinite
-    estimate.
+    counts to the bounds of ``_contour_sum``.
     """
     xi = -np.asarray(z, dtype=complex)
     invalid = xi == 0
     xi = np.where(invalid, 1.0, xi)
-    has_pole, sstar = _pole_location(a, xi)
-    if g not in (1.0, 2.0):
-        # a branch point of the denominator cannot be compensated by a residue
-        invalid = invalid | has_pole
-    has_pole &= ~invalid
+    has_pole, sstar = _pole_location(a, xi)  # none at the stand-in xi = 1
     # the pole sits at distance |rel - 1| from the fixed parabola (mu = 2 pi) in u
     rel = np.sqrt(sstar).real / math.sqrt(2.0 * math.pi)
     near = has_pole & (np.abs(rel - 1.0) < 0.6)
@@ -514,12 +503,12 @@ def prabhakar_diag(params: PrabhakarParams, z):
         # cheapest, its estimate already carries a factor 100, and it takes the
         # points the series would sum longest and then reject.  The series
         # estimate is optimistic by up to a factor 8 inside the sector, hence
-        # 25; outside it the contour takes the points, except at gamma outside
-        # {1, 2}, where their pole is a branch point.  The routes are looked up
-        # at call time, so that a patched module attribute takes effect.
+        # 25; outside it the contour takes the points, adding the residue of
+        # their pole.  The routes are looked up at call time, so that a
+        # patched module attribute takes effect.
         routes = (
             (_asym_route, sector_ok, 1.0),
-            (_series_route, (sector_ok | (g not in (1.0, 2.0))) & (np.abs(zf) <= 60.0), 25.0),
+            (_series_route, sector_ok & (np.abs(zf) <= 60.0), 25.0),
             (_contour_route, True, 1.0),
         )
         for route, region, safety in routes:
@@ -639,8 +628,8 @@ def laplace_identity_residual(
     1e-9, otherwise an error asks for a larger ``t_cut``.
     """
     a, b, g = params.alpha, params.beta, params.gamma
-    if not (b > 0 and g > 0 and lam > 0):
-        raise DomainError("beta, gamma, lam must all be positive")
+    if not (b > 0 and lam > 0):
+        raise DomainError("beta and lam must be positive")
     s = complex(s)
     if s.real <= 0:
         raise DomainError("Re s must be positive")

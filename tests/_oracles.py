@@ -101,7 +101,6 @@ def asym_route_full_table(a: float, b: float, g: float, z):
     xi_all = -np.asarray(z, dtype=complex)
     valid = np.abs(xi_all) ** (1.0 / a) >= _ASYM_MIN_POW
     xi = xi_all[valid]
-    ok = np.ones(xi.shape, dtype=bool)
 
     terms = np.zeros((_ASYM_KMAX,) + xi.shape, dtype=complex)
     coef = 1.0  # binom(g + k - 1, k)
@@ -138,15 +137,11 @@ def asym_route_full_table(a: float, b: float, g: float, z):
         has_pole, sstar = np.ones(xi.shape, dtype=bool), -xi
     else:
         has_pole, sstar = _pole_location(a, xi)
-    if has_pole.any():
-        if g in (1.0, 2.0):
-            pole, pole_rounding = _residue(a, b, g, has_pole, sstar)
-            vals = vals + pole
-            rounding = rounding + pole_rounding
-        else:
-            ok = ~has_pole
+    pole, pole_rounding = _residue(a, b, g, has_pole, sstar)
+    vals = vals + pole
+    rounding = rounding + pole_rounding
     est = (100.0 * tail + rounding) / np.maximum(np.abs(vals), 1e-290)
-    est = np.where(ok & ~((tail <= 0.0) & (np.abs(vals) == 0.0)), est, np.inf)
+    est = np.where((tail <= 0.0) & (np.abs(vals) == 0.0), np.inf, est)
 
     vals_all = np.zeros(xi_all.shape, dtype=complex)
     est_all = np.full(xi_all.shape, np.inf)

@@ -158,6 +158,21 @@ class TestInvertRoundTrip:
         bad = write(tmp_path, "bad.csv", "time,flux\n1.0,2.0\n")
         assert main(["invert", CRIME, bad, "--out", str(tmp_path), "--quiet"]) == 2
 
+    @pytest.mark.parametrize("row", ["2.0,1.0", "2.0", "2.0,1.0,x", "2.0,abc,0.0", "2.0,nan,0.0", "inf,1.0,0.0"])
+    def test_malformed_row_exit_2(self, tmp_path, capsys, row):
+        bad = write(tmp_path, "bad.csv", f"t,re_h,im_h\n1.5,0.1,0.0\n\n{row}\n")
+        assert main(["invert", CRIME, bad, "--out", str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "flux CSV line 4" in err and repr(row) in err
+        assert not (tmp_path / "inversion.json").exists()
+
+    def test_times_outside_window_exit_3(self, tmp_path, capsys):
+        # crime observes on (t0, t1) = (1, 400); data before t0 cannot be inverted
+        data = write(tmp_path, "early.csv", "t,re_h,im_h\n0.2,1.0,0.0\n0.5,0.5,0.0\n")
+        assert main(["invert", CRIME, data, "--out", str(tmp_path), "--quiet"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "inversion.json").exists()
+
 
 class TestTaskOptions:
     """model.a decides the problem family; task keys that contradict it or the mode range exit 2."""
@@ -197,7 +212,7 @@ class TestTaskOptions:
         reports = json.loads((tmp_path / "residues.json").read_text())
         assert [r["report_breve"]["mode"] for r in reports] == expected
 
-    @pytest.mark.parametrize("grid", ["1:2:x", "1:2", "1:2:0", "a:2:3"])
+    @pytest.mark.parametrize("grid", ["1:2:x", "1:2", "1:2:0", "a:2:3", "nan:5:3", "1:inf:3"])
     def test_malformed_grid_spec_exit_2(self, tmp_path, capsys, grid):
         cfg = write(tmp_path, "grid.cfg", pathlib.Path(DEMO).read_text() + f"task.s_grid = {grid}\n")
         assert main(["laplace-scan", cfg, "--out", str(tmp_path), "--quiet"]) == 2
@@ -225,6 +240,11 @@ class TestConfigValues:
             "task.s_imag = abc",
             "task.s_imag = 1j",
             "task.s_imag = inf",
+            "data.phi = nan",
+            "data.psi = inf",
+            "data.f = 1.0 nan 0.0",
+            "data.f = 1.0 abc 0.0",
+            "data.phi = abc",
         ],
     )
     def test_wrong_kind_exit_2(self, tmp_path, capsys, line):

@@ -80,22 +80,28 @@ class TestPrabhakarValues:
         assert np.isfinite(vals).all()
 
     def test_accuracy_failure_raises_with_estimate(self):
-        # far outside every route: huge argument in the growth direction
-        p = PrabhakarParams(0.3, 1.0, 1.0)
-        with pytest.raises(AccuracyError) as exc:
-            prabhakar(p, 1.0e4)
-        assert exc.value.error_estimate is not None
-        # an exit-3 message names the kernel as well as the argument
-        assert "(alpha, beta, gamma) = (0.3, 1.0, 1.0)" in str(exc.value)
-        assert "z=(10000+0j)" in str(exc.value)
+        # far outside every route: huge argument in the growth direction, where
+        # no route resolves the point, so it raises at once
+        for gamma in (1.0, 2.0):
+            p = PrabhakarParams(0.3, 1.0, gamma)
+            start = time.perf_counter()
+            with pytest.raises(AccuracyError, match="no route resolved it") as exc:
+                prabhakar(p, 1.0e4)
+            assert time.perf_counter() - start < 2.0
+            assert exc.value.error_estimate == math.inf
+            # an exit-3 message names the kernel as well as the argument
+            assert f"(alpha, beta, gamma) = (0.3, 1.0, {gamma})" in str(exc.value)
+            assert "z=(10000+0j)" in str(exc.value)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             PrabhakarParams(1.2, 1.0, 1.0)
         with pytest.raises(DomainError):
             PrabhakarParams(0.5, -0.1, 1.0)
-        with pytest.raises(DomainError):
-            PrabhakarParams(0.5, 1.0, 0.0)
+        # the solver builds gamma 1 and 2 only
+        for gamma in (0.0, 0.5, 1.5, 3.0, math.nan):
+            with pytest.raises(DomainError, match="gamma must be 1 or 2"):
+                PrabhakarParams(0.5, 1.0, gamma)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,8 +189,9 @@ class TestAsymptoticRounding:
     @pytest.mark.parametrize(
         "alpha, beta, gamma, r",
         [
-            (0.7, 1.0, 1.5, np.geomspace(0.05, 150.0**0.7, 10)[8]),  # |z| = 16.20
-            (0.7, 1.0, 1.5, 150.0**0.7),  # |z| = 33.36
+            # a crime kernel: x rounds onto the pole -8 at k = 10, and the cut lies past it
+            (0.9, 1.9, 1.0, 30.0),
+            (0.9, 1.9, 1.0, 60.0),
             (0.99, 0.99, 2.0, 60.0),
         ],
     )
@@ -199,16 +206,20 @@ class TestAsymptoticRounding:
 
     @pytest.mark.parametrize("alpha", [0.7, 0.9, 0.99])
     def test_estimate_bounds_an_argument_rounded_onto_a_pole(self, alpha):
-        # the Prabhakar kernel's beta = alpha gamma at gamma = 1.5: b - a g is 0 in
-        # doubles but not exactly, so the leading term comes out as 0 though it
-        # is not; the estimate once fell up to 350 times below the error
+        # b - a (g + k) is the integer -m in doubles but not exactly, so term k
+        # comes out as 0 though it is not, and the estimate must count the
+        # rounding of that argument
+        from fractions import Fraction
+
         from fracflux.specfun import _asym_route
 
-        beta = alpha * 1.5
-        zs = -np.geomspace(20.0, min(60.0, 150.0**alpha), 3)
-        vals, est = _asym_route(alpha, beta, 1.5, zs)
+        beta, gamma, k, m = {0.7: (1.5, 2.0, 3, 2), 0.9: (2.7, 2.0, 1, 0), 0.99: (2.95, 2.0, 3, 2)}[alpha]
+        assert beta - alpha * (gamma + k) == -m
+        assert Fraction(beta) - Fraction(alpha) * int(gamma + k) != -m
+        zs = -np.geomspace(20.0, min(60.0, 150.0**alpha), 3)  # their cuts lie at k = 19 or later
+        vals, est = _asym_route(alpha, beta, gamma, zs)
         for z, v, e in zip(zs, vals, est):
-            ref = prabhakar_reference(alpha, beta, 1.5, z)
+            ref = prabhakar_reference(alpha, beta, gamma, z)
             assert abs(v - ref) <= e * abs(ref), (z, abs(v - ref) / abs(ref), e)
 
 
@@ -216,8 +227,8 @@ class TestAsymptoticEarlyStop:
     """``_asym_route`` sums its expansion a block of rows at a time and drops a
     point once it is provably past its envelope minimum or its envelope is
     negligible.  It must give the cut of the full 70-term table: alpha from 0.1
-    to 1, beta from alpha to 4.9, gamma in {1, 1.5, 2}, |s*| = |z|^(1/alpha)
-    from 4 to 1e4 and Arg(-z) up to 0.9995 of the half-angle."""
+    to 1, beta from alpha to 4.9, gamma in {1, 2}, |s*| = |z|^(1/alpha) from 4
+    to 1e4 and Arg(-z) up to 0.9995 of the half-angle."""
 
     def test_matches_the_full_table(self):
         from _oracles import asym_route_full_table
@@ -227,8 +238,8 @@ class TestAsymptoticEarlyStop:
         for alpha in (0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.9, 0.99, 1.0):
             angles = np.linspace(0.0, 0.9995, 13) * (2.0 - alpha) * math.pi / 2.0
             zs = -(np.geomspace(4.0, 1e4, 40)[:, None] ** alpha * np.exp(1j * angles[None, :])).ravel()
-            for beta in (alpha, 1.0, alpha + 1.0, 2.0 * alpha + 2.3, 4.9):
-                for gamma in (1.0, 1.5, 2.0):
+            for beta in (alpha, 1.0, alpha + 1.0, 2.0 * alpha + 1.0, 2.0 * alpha + 2.3, alpha + 3.0, 4.9):
+                for gamma in (1.0, 2.0):
                     key = (alpha, beta, gamma)
                     vals, est = _asym_route(alpha, beta, gamma, zs)
                     ref_vals, ref_est = asym_route_full_table(alpha, beta, gamma, zs)
@@ -237,6 +248,9 @@ class TestAsymptoticEarlyStop:
                     # a later, smaller envelope row than a negligible one moves
                     # the estimate by at most 100 times the negligible fraction
                     assert (est <= ref_est + 100.0 * 2.0**-60).all(), key
+                    # and never below it: the table's rounding bound counts the
+                    # terms rounded onto a pole of Gamma, and so must the route's
+                    assert (est[accepted] >= ref_est[accepted] - 100.0 * 2.0**-60).all(), key
                     # a point that stops past its minimum keeps the table's
                     # cut, hence its estimate and its value, bit for bit
                     same_est = est.view(np.int64) == ref_est.view(np.int64)
@@ -366,12 +380,11 @@ class TestRouteOrder:
             _, est = specfun._asym_route(alpha, beta, 1.0, series_points)
             assert not (est <= specfun.TARGET).any(), f"beta {beta}: {np.sum(est <= specfun.TARGET)} points"
 
-    @pytest.mark.parametrize("beta,gamma", [(2.0, 1.0), (3.0, 2.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("beta,gamma", [(2.0, 1.0), (3.0, 2.0)])
     def test_alpha_one_against_kummer(self, beta, gamma):
         # E^g_{1,b}(z) = 1F1(g; b; z) / Gamma(b).  On the negative real axis the
         # pole s* = z of (s + xi)^(-g) belongs to the asymptotic expansion, which
-        # now runs before the series; at gamma = 1.5 it is a branch point, and
-        # the expansion must leave the point to the other routes
+        # runs before the series and adds its residue
         import mpmath as mp
 
         x = np.geomspace(4.0, 60.0, 6)
@@ -406,15 +419,16 @@ class TestRouteOrder:
 
     @pytest.mark.parametrize("r", [10.0, 25.0, 40.0])
     def test_unresolved_point_raises_at_once(self, r):
-        # at gamma = 1.5 the pole of (s^a + xi)^(-g) is a branch point that no
-        # residue compensates; the contour route once added a residue here and
-        # ended in a bare ValueError
-        p = PrabhakarParams(0.9, 0.9, 1.5)
-        start = time.perf_counter()
-        with pytest.raises(AccuracyError, match="no route resolved it") as exc:
-            prabhakar(p, -r * np.exp(0.95j * p.sector_half_angle))
-        assert time.perf_counter() - start < 2.0
-        assert exc.value.error_estimate == math.inf
+        # on the positive real axis the residue e^(s*) at |s*| = r^(1/alpha) >= 2154
+        # overflows a double: every route declines the point and it raises at
+        # once, with an infinite estimate rather than a bare ValueError
+        for gamma in (1.0, 2.0):
+            p = PrabhakarParams(0.3, 1.0, gamma)
+            start = time.perf_counter()
+            with pytest.raises(AccuracyError, match="no route resolved it") as exc:
+                prabhakar(p, r)
+            assert time.perf_counter() - start < 2.0
+            assert exc.value.error_estimate == math.inf
 
 
 class TestOutOfSector:
@@ -452,20 +466,24 @@ class TestOutOfSector:
                 ref = prabhakar_reference(p.alpha, p.beta, p.gamma, zi)
                 assert abs(v - ref) <= e * abs(ref), (p, zi, abs(v - ref) / abs(ref), e)
 
-    def test_fractional_gamma(self):
-        # at gamma outside {1, 2} the pole is a branch point the contour cannot
-        # take, so the series keeps the points outside the sector
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    def test_alpha_one_and_small_poles(self, gamma):
+        # E^g_{1,b}(x) = 1F1(g; b; x) / Gamma(b) on the positive axis, and
+        # (0.9, 0.9) at |s*| from 0.26 to 28: outside the sector, where the
+        # contour takes the points and adds the residue of their pole
         import mpmath as mp
 
         for x in (0.5, 2.0, 10.0):
             for beta in (2.0, 0.7):
                 with mp.workdps(40):
-                    ref = complex(mp.hyp1f1(1.5, beta, x) * mp.rgamma(beta))
-                assert prabhakar(PrabhakarParams(1.0, beta, 1.5), x) == pytest.approx(ref, rel=1e-10)
-        p = PrabhakarParams(0.9, 0.9, 1.5)
+                    ref = complex(mp.hyp1f1(gamma, beta, x) * mp.rgamma(beta))
+                vals, est = prabhakar_diag(PrabhakarParams(1.0, beta, gamma), [x])
+                assert est[0] <= 1e-10 and abs(vals[0] - ref) <= est[0] * abs(ref), (x, beta)
+        p = PrabhakarParams(0.9, 0.9, gamma)
         for z in (1.0, 0.3, 5.0 * np.exp(0.6j * 0.9 * math.pi / 2.0), 20.0 * np.exp(-0.3j * 0.9 * math.pi / 2.0)):
-            ref = prabhakar_reference(0.9, 0.9, 1.5, z)
-            assert prabhakar(p, z) == pytest.approx(ref, rel=1e-10)
+            vals, est = prabhakar_diag(p, [z])
+            ref = prabhakar_reference(0.9, 0.9, gamma, z)
+            assert est[0] <= 1e-10 and abs(vals[0] - ref) <= est[0] * abs(ref), z
 
 
 class TestDerivativeRecurrences:
