@@ -33,9 +33,7 @@ from .specfun import (
     _gauss_legendre_panels,
     _graded_jacobi_integral,
     _principal_power_array,
-    prabhakar,
     prabhakar_array,
-    principal_power,
 )
 
 __all__ = [
@@ -43,8 +41,6 @@ __all__ = [
     "StateTrajectory",
     "FluxTrace",
     "FractionalResidualReport",
-    "qk_wk",
-    "mode_solution",
     "solve",
     "boundary_flux",
     "fractional_residual",
@@ -271,56 +267,9 @@ def _all_modes(params: ModelParams, table: ModeTable, coeffs, tv: np.ndarray, t0
     return tuple(x.reshape((table.K,) + tv.shape) for x in block.contract(*coeffs))
 
 
-def qk_wk(params: ModelParams, table: ModeTable, k: int, z: complex) -> tuple[complex, complex]:
-    """(q_k(z), w_k(z)): the divided-difference pair, coalescent branch when the roots merge.
-
-    q_k is row k-1 of the kernel block at z.  w_k, the divided difference of
-    t^(a-1) E_{a,a}(-lam t^a) over the two roots, is set to 0 at z = 0, where
-    it is singular for alpha <= 1/2; that case is refused.
-    """
-    z, a = complex(z), params.alpha
-    if z == 0 and 2.0 * a - 1.0 <= 0.0:
-        raise DomainError("w_k is singular at t = 0 for alpha <= 1/2")
-    j = table.row(k)
-    every, none = np.ones(table.K, dtype=bool), np.zeros((table.K, 0), dtype=bool)
-    q = complex(_KernelBlock(params, table, np.array([z]), params.t0, (every, every, none, none)).q[j, 0])
-    if z == 0:
-        return q, 0j
-    lb, lh = float(table.lam_breve[j]), float(table.lam_hat[j])
-    za = principal_power(z, a)
-    if _roots_coalesced(lb, lh):
-        return q, principal_power(z, 2.0 * a - 1.0) * prabhakar(PrabhakarParams(a, 2.0 * a, 2.0), -lb * za)
-    eh, eb = prabhakar_array(PrabhakarParams(a, a, 1.0), [-lh * za, -lb * za])
-    return q, complex(principal_power(z, a - 1.0) * (eh - eb) / (lb - lh))
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
-
-
-def mode_solution(
-    params: ModelParams,
-    table: ModeTable,
-    k: int,
-    phi_k: complex,
-    psi_k: complex,
-    f_row,
-    chi_row,
-    time_grid,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(u_k, v_k) on a real time grid in [0, infinity)."""
-    j = table.row(k)
-    t = np.asarray(time_grid, dtype=float)
-    if (t < 0).any():
-        raise DomainError("time grid must be non-negative")
-    coeffs = []
-    for x in (phi_k, psi_k, f_row, chi_row):
-        c = np.zeros((table.K,) + np.shape(x), dtype=complex)
-        c[j] = x
-        coeffs.append(c)
-    u, v = _all_modes(params, table, coeffs, t.astype(complex), params.t0)
-    return u[j], v[j]
 
 
 def solve(
@@ -333,8 +282,8 @@ def solve(
 ) -> StateTrajectory:
     """Assemble all K modes of the direct problem on the given time grid."""
     t = np.asarray(time_grid, dtype=float)
-    if t.ndim != 1 or (np.diff(t) <= 0).any() or (t < 0).any():
-        raise DomainError("time grid must be strictly increasing and non-negative")
+    if t.ndim != 1 or not np.isfinite(t).all() or (np.diff(t) <= 0).any() or (t < 0).any():
+        raise DomainError("time grid must be finite, strictly increasing and non-negative")
     u, v = _all_modes(params, table, _coefficient_tables(table.K, phi, psi, src), t.astype(complex), src.t0)
     return StateTrajectory(time_grid=t, u_modes=u, v_modes=v, params=params)
 
@@ -358,9 +307,9 @@ def extend_complex(params: ModelParams, table: ModeTable, phi, psi, src: SourceS
     theta_max = min(math.pi, (2.0 - params.alpha) * math.pi / (2.0 * params.alpha))
     w = zarr - params.t0
     ang = np.abs(np.arctan2(w.imag, w.real))
-    if (w == 0).any() or (ang >= theta_max).any():
+    if not np.isfinite(w).all() or (w == 0).any() or (ang >= theta_max).any():
         raise DomainError(
-            f"z must lie in the sector |Arg(z - t0)| < {theta_max:.6f} around (t0, infinity)"
+            f"z must be finite and lie in the sector |Arg(z - t0)| < {theta_max:.6f} around (t0, infinity)"
         )
     u, v = _all_modes(params, table, _coefficient_tables(table.K, phi, psi, src), zarr, src.t0)
     if np.ndim(z) == 0:

@@ -327,6 +327,8 @@ def _split_unknowns(x: np.ndarray, M: int, coupled: bool):
 
 def _weighted_design(params: ModelParams, table: ModeTable, degree: int, t: np.ndarray):
     """(A sqrt(w), sqrt(w)): the design matrix with rows scaled by trapezoid weights w on t."""
+    if (np.diff(t) <= 0).any():
+        raise DomainError("data grid must be strictly increasing")
     A = np.column_stack(_flux_columns(params, table, degree, t))
     sw = np.sqrt(_trapezoid_weights(t))
     return A * sw[:, None], sw

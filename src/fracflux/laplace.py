@@ -72,8 +72,11 @@ def _source_transforms(t0: float, s, *tables) -> list:
 
 
 def _points(x) -> np.ndarray:
-    """The points of a scalar or an array as a flat complex array."""
-    return np.asarray(x, dtype=complex).ravel()
+    """The points of a scalar or an array as a flat complex array; a non-finite point raises DomainError."""
+    p = np.asarray(x, dtype=complex).ravel()
+    if not np.isfinite(p).all():
+        raise DomainError(f"points must be finite, got {complex(p[~np.isfinite(p)][0])!r}")
+    return p
 
 
 def _shaped(values: np.ndarray, like):
@@ -220,8 +223,8 @@ def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"]):
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     rp = np.asarray(r, dtype=float).ravel()
-    if (rp <= 0).any():
-        raise DomainError("r must be positive")
+    if not (np.isfinite(rp) & (rp > 0)).all():
+        raise DomainError("r must be positive and finite")
     return _shaped(_cut_edges(ctx, rp, rp**ctx.alpha, rp ** (ctx.alpha - 1.0))["+-".index(side)], r)
 
 
@@ -231,9 +234,10 @@ def jump(ctx: JumpContext, rho):
     Difference of the theta -> +pi and theta -> -pi limits of the transform,
     taken mode by mode under the series.
     """
-    if (np.asarray(rho) <= 0).any():
-        raise DomainError("rho must be positive")
-    r = np.asarray(rho, dtype=float).ravel() ** (1.0 / ctx.alpha)
+    rp = np.asarray(rho, dtype=float).ravel()
+    if not (np.isfinite(rp) & (rp > 0)).all():
+        raise DomainError("rho must be positive and finite")
+    r = rp ** (1.0 / ctx.alpha)
     upper, lower = _cut_edges(ctx, r, r**ctx.alpha, r ** (ctx.alpha - 1.0))
     return _shaped(upper - lower, rho)
 

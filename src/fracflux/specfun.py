@@ -54,7 +54,6 @@ __all__ = [
     "sector_decay_report",
     "SectorDecayReport",
     "laplace_identity_residual",
-    "lower_incomplete_gamma",
     "monomial_laplace_truncated",
 ]
 
@@ -244,8 +243,10 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
       the running minimum, the minimum is final: the point's cut, value and
       estimate are those of the full table, bit for bit;
     * negligible: the envelope minimum is at most ``_ASYM_NEGLIGIBLE`` of
-      |partial sum + residue|, so a later, smaller one would move the value
-      and the estimate below the rounding.
+      |partial sum + residue|, so a later, smaller one would move the
+      estimate by at most 100 times that fraction and the value by up to one
+      unit in the last place (1.55e-16 relative at alpha, beta, gamma =
+      0.25, 0.5, 1).
     """
     xi_all = -np.asarray(z, dtype=complex)
     valid = np.abs(xi_all) ** (1.0 / a) >= _ASYM_MIN_POW
@@ -717,15 +718,6 @@ def _gamma_star(n: int, w: np.ndarray) -> np.ndarray:
             break
     out[small] = np.where(pos, np.exp(-w) * total, total)
     return out
-
-
-def lower_incomplete_gamma(n: int, w):
-    """gamma(n, w) = integral_0^w e^-u u^(n-1) du for integer n >= 1 and complex w, scalar or array."""
-    if n < 1 or n != int(n):
-        raise DomainError("order must be an integer >= 1")
-    wa = np.asarray(w, dtype=complex)
-    out = wa ** int(n) * _gamma_star(int(n), wa.ravel()).reshape(wa.shape)
-    return out if np.ndim(w) else complex(out)
 
 
 def monomial_laplace_truncated(m: int, t0: float, s) -> complex | np.ndarray:

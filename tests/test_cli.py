@@ -173,6 +173,12 @@ class TestInvertRoundTrip:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "inversion.json").exists()
 
+    def test_out_of_order_times_exit_3(self, tmp_path, capsys):
+        data = write(tmp_path, "unsorted.csv", "t,re_h,im_h\n1.5,1.0,0.0\n2.5,0.5,0.0\n2.0,0.7,0.0\n")
+        assert main(["invert", CRIME, data, "--out", str(tmp_path), "--quiet"]) == 3
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "inversion.json").exists()
+
 
 class TestTaskOptions:
     """model.a decides the problem family; task keys that contradict it or the mode range exit 2."""

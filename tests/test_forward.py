@@ -8,13 +8,12 @@ import pytest
 
 from fracflux.forward import (
     SourceSpec,
+    _KernelBlock,
     boundary_flux,
     convolve_kernel_quadrature,
     extend_complex,
     fractional_residual,
     mode_estimate_constant,
-    mode_solution,
-    qk_wk,
     solve,
 )
 from fracflux.modes import ModelParams, SpectralField, build_mode_table
@@ -46,44 +45,46 @@ def rand_setup(params, K, M, seed=0, complex_data=False):
     return SpectralField(phi.astype(complex)), SpectralField(psi.astype(complex)), src
 
 
+def mode_solve(p, table, k, phi_k, psi_k, f_row, chi_row, grid):
+    """(u_k, v_k) from ``solve`` with every coefficient outside mode k set to 0."""
+    phi, psi, f, chi = (np.zeros((table.K,) + np.shape(x), dtype=complex) for x in (phi_k, psi_k, f_row, chi_row))
+    phi[k - 1], psi[k - 1], f[k - 1], chi[k - 1] = phi_k, psi_k, f_row, chi_row
+    src = SourceSpec(degree=f.shape[1] - 1, t0=p.t0, f_coeffs=f, chi_coeffs=chi)
+    traj = solve(p, table, phi, psi, src, grid)
+    return traj.u_modes[k - 1], traj.v_modes[k - 1]
+
+
+def q_rows(p, table, z):
+    """The q rows of every mode's kernel block at the one time z."""
+    every, none = np.ones(table.K, dtype=bool), np.zeros((table.K, 0), dtype=bool)
+    return _KernelBlock(p, table, np.array([z], dtype=complex), p.t0, (every, every, none, none)).q[:, 0]
+
+
 @pytest.mark.parametrize("k", [0, 5])
-@pytest.mark.parametrize("call", ["mode_solution", "qk_wk", "mode_transform"])
+@pytest.mark.parametrize("call", ["mode_transform"])
 def test_mode_index_outside_1_to_K_rejected(call, k):
     from fracflux.laplace import mode_transform
 
     p = coupled_params()
     t = build_mode_table(p, 4)
-    calls = {
-        "mode_solution": lambda: mode_solution(p, t, k, 1.0, 0.5, [0.3], [0.1], [0.5, 2.0]),
-        "qk_wk": lambda: qk_wk(p, t, k, 0.5),
-        "mode_transform": lambda: mode_transform(p, t, k, 1.0, 0.5, [0.3], [0.1], 1.5 + 0.5j),
-    }
     with pytest.raises(ValueError, match=rf"mode {k} outside 1\.\.4"):
-        calls[call]()
+        mode_transform(p, t, k, 1.0, 0.5, [0.3], [0.1], 1.5 + 0.5j)
 
 
 class TestQkWk:
     def test_qk_at_zero_vanishes(self):
         p = coupled_params()
         t = build_mode_table(p, 3)
-        q, w = qk_wk(p, t, 1, 0.0)
-        assert q == 0
-
-    def test_w_singular_at_zero_for_small_alpha(self):
-        p = coupled_params(alpha=0.4)
-        t = build_mode_table(p, 2)
-        with pytest.raises(DomainError):
-            qk_wk(p, t, 1, 0.0)
+        assert q_rows(p, t, 0.0)[0] == 0
 
     def test_distinct_root_form(self):
         p = coupled_params()
         t = build_mode_table(p, 2)
         z = 0.8
-        q, w = qk_wk(p, t, 1, z)
+        q = q_rows(p, t, z)[0]
         lb, lh = t.lam_breve[0], t.lam_hat[0]
-        e = lambda lam, beta: prabhakar(PrabhakarParams(p.alpha, beta, 1.0), -lam * z**p.alpha)
-        assert q == pytest.approx((e(lh, 1.0) - e(lb, 1.0)) / (lb - lh), rel=1e-12)
-        assert w == pytest.approx(z ** (p.alpha - 1) * (e(lh, p.alpha) - e(lb, p.alpha)) / (lb - lh), rel=1e-12)
+        e = lambda lam: prabhakar(PrabhakarParams(p.alpha, 1.0, 1.0), -lam * z**p.alpha)
+        assert q == pytest.approx((e(lh) - e(lb)) / (lb - lh), rel=1e-12)
 
     def test_branch_agreement_near_coalescence(self):
         # nearly merged roots: divided difference vs the gamma=2 branch, both
@@ -112,7 +113,7 @@ class TestQkWk:
             p = decoupled_params(kappa=1.0, varkappa=1.0, c=1.0, d=1.0, a=s / 2, b=s / 2)
             # S = sqrt((c-d)^2 + 4ab) = s for c = d
             t = build_mode_table(p, 1)
-            u, v = mode_solution(p, t, 1, 1.0, 0.5, [0.3], [0.1], [0.5, 2.0])
+            u, v = mode_solve(p, t, 1, 1.0, 0.5, [0.3], [0.1], [0.5, 2.0])
             vals.append(np.concatenate([u, v]))
         assert np.abs(vals[0] - vals[1]).max() < 1e-5
 
@@ -123,7 +124,7 @@ class TestModeSolution:
         p = decoupled_params()
         t = build_mode_table(p, 3)
         grid = np.array([0.0, 0.4, 1.7])
-        u, v = mode_solution(p, t, 2, 1.0, 0.0, [0.0], [0.0], grid)
+        u, v = mode_solve(p, t, 2, 1.0, 0.0, [0.0], [0.0], grid)
         expect = prabhakar_array(PrabhakarParams(p.alpha, 1.0, 1.0), -4.0 * grid**p.alpha)
         assert np.abs(u - expect).max() < 1e-12
         assert np.abs(v).max() == 0
@@ -131,7 +132,7 @@ class TestModeSolution:
     def test_all_zero_inputs(self):
         p = coupled_params()
         t = build_mode_table(p, 2)
-        u, v = mode_solution(p, t, 1, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0], np.linspace(0, 2, 9))
+        u, v = mode_solve(p, t, 1, 0.0, 0.0, [0.0, 0.0], [0.0, 0.0], np.linspace(0, 2, 9))
         assert np.all(u == 0) and np.all(v == 0)
 
     def test_constant_source_frozen_value(self):
@@ -139,7 +140,7 @@ class TestModeSolution:
         # quadrature and high-precision series before the build
         p = decoupled_params()
         t = build_mode_table(p, 1)
-        u, v = mode_solution(p, t, 1, 0.0, 0.0, [1.0], [0.0], [2.0])
+        u, v = mode_solve(p, t, 1, 0.0, 0.0, [1.0], [0.0], [2.0])
         assert u[0] == pytest.approx(0.11274347426992318, rel=1e-12)
 
     def test_full_convolution_identity_vs_quadrature(self):
@@ -170,6 +171,13 @@ class TestModeSolution:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, math.inf], [0.0, math.nan, 2.0]])
+    def test_non_finite_time_rejected(self, grid):
+        p = coupled_params()
+        t = build_mode_table(p, 2)
+        with pytest.raises(DomainError, match="time grid"):
+            solve(p, t, SpectralField.zero(2), SpectralField.zero(2), SourceSpec.zero(2, 0, p.t0), grid)
+
     def test_zero_data_zero_trajectory(self):
         p = coupled_params()
         t = build_mode_table(p, 3)
@@ -420,5 +428,6 @@ class TestExtendComplex:
         phi, psi, src = rand_setup(p, 2, 1, seed=14)
         theta_max = (2 - p.alpha) * math.pi / (2 * p.alpha)
         bad = p.t0 + 0.5 * np.exp(1j * (theta_max + 0.05))
-        with pytest.raises(DomainError):
-            extend_complex(p, t, phi, psi, src, bad)
+        for z in (bad, math.inf, complex(math.nan, 0.5)):
+            with pytest.raises(DomainError):
+                extend_complex(p, t, phi, psi, src, z)

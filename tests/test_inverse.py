@@ -16,6 +16,7 @@ from fracflux.inverse import (
 )
 from fracflux.laplace import make_jump_context
 from fracflux.modes import ModelParams, SpectralField, build_mode_table
+from fracflux.specfun import DomainError
 
 
 def ip1_params(**kw):
@@ -249,6 +250,15 @@ class TestLsqReconstruct:
         with pytest.raises(Exception):
             lsq_reconstruct(data, p, table, 1)
 
+    def test_non_increasing_times_rejected(self):
+        # the trapezoid weights assume increasing times
+        p = ip1_params()
+        grid = np.linspace(1.2, 2.8, 40)
+        grid[[10, 11]] = grid[[11, 10]]
+        data = FluxTrace(time_grid=grid, values=np.ones(40, dtype=complex))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            lsq_reconstruct(data, p, build_mode_table(p, 2), 1)
+
 
 class TestConditioningProbe:
     def test_three_alphas(self):
@@ -281,6 +291,12 @@ class TestConditioningProbe:
         r1 = conditioning_probe([0.6, 0.7], p, K=2, degree=1, data_grid=grid)
         r2 = conditioning_probe([0.6, 0.7], p, K=2, degree=1, data_grid=grid)
         assert all(a == b for a, b in zip(r1, r2))
+
+    def test_non_increasing_grid_rejected(self):
+        p = ip1_params()
+        grid = np.append(np.linspace(1.2, 2.8, 40), 2.0)
+        with pytest.raises(DomainError, match="strictly increasing"):
+            conditioning_probe([0.7], p, K=2, degree=1, data_grid=grid)
 
 
 class TestKernelBlock:

@@ -154,8 +154,9 @@ class TestJump:
 
     def test_rho_positive_required(self):
         ctx, *_ = make_ctx()
-        with pytest.raises(DomainError):
-            jump(ctx, -1.0)
+        for rho in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                jump(ctx, rho)
 
 
 class TestBranchFunction:
@@ -337,6 +338,19 @@ class TestArrayPath:
         zs[3] = 2.0 * cmath.exp(-1j * math.pi * (1 - p.alpha))
         with pytest.raises(PoleLineError, match=r"z\[3\]"):
             q_branch(ctx, 0, zs)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, math.nan)])
+    @pytest.mark.parametrize("call", ["flux_transform", "flux_transform_limit", "mode_transform", "q_branch"])
+    def test_non_finite_point_rejected(self, call, x):
+        ctx, p, t, *_ = make_ctx()
+        calls = {
+            "flux_transform": lambda: flux_transform(ctx, [1.0, x]),
+            "flux_transform_limit": lambda: flux_transform_limit(ctx, [1.0, abs(x)], "+"),
+            "mode_transform": lambda: mode_transform(p, t, 1, 1.0, 0.5, [0.3], [0.1], x),
+            "q_branch": lambda: q_branch(ctx, 0, [1.0, x]),
+        }
+        with pytest.raises(DomainError, match="finite"):
+            calls[call]()
 
     @pytest.mark.parametrize(
         "problem, kw, moments",
