@@ -4,7 +4,7 @@ source identification.
 Subpackages by task: :mod:`fracflux.specfun` (Prabhakar evaluation),
 :mod:`fracflux.modes` (eigensystem and coupled-root algebra),
 :mod:`fracflux.forward` (closed-form spectral solver),
-:mod:`fracflux.laplace` (transforms, branch-cut jump, branch search),
+:mod:`fracflux.laplace` (flux transform, branch-cut jump, branch search),
 :mod:`fracflux.inverse` (residue checks and least-squares reconstruction),
 :mod:`fracflux.cli` (batch commands).
 """

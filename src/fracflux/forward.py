@@ -69,8 +69,8 @@ class SourceSpec:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not (0.0 < self.t0 < math.inf):
+            raise ValueError(f"t0 must be positive and finite, got {self.t0!r}")
         f = np.atleast_2d(np.asarray(self.f_coeffs, dtype=complex))
         x = np.atleast_2d(np.asarray(self.chi_coeffs, dtype=complex))
         if f.shape != x.shape or f.shape[1] != self.degree + 1:

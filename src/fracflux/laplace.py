@@ -1,10 +1,12 @@
-"""Laplace-domain layer: mode transforms, boundary-flux transform, branch-cut jump,
-the entire function families behind it, and the dense-branch search.
+"""Laplace-domain layer: the boundary-flux transform, the branch-cut jump, the
+branch functions and entire function families behind them, and the dense-branch
+search.
 
-With sources confined to (0, t0) the mode transforms are rational in s^alpha
-times entire functions of s (truncated monomial transforms), so the flux
-transform extends analytically to the slit plane and has one-sided limits on
-the negative real axis.  The jump across the cut, reparametrized by
+The only Laplace-plane quantity the package uses is the flux series
+sum_k gamma_k U_k(s).  With sources confined to (0, t0), U_k is rational in
+s^alpha times entire functions of s (truncated monomial transforms), so the
+flux transform extends analytically to the slit plane and has one-sided limits
+on the negative real axis.  The jump across the cut, reparametrized by
 rho = r^alpha, is a series of products R_k(rho) G_k(rho^(1/alpha)) whose
 entire components can be rotated to other branches of the 1/alpha power; that
 rotation is the branch function evaluated here.  Both are differences of the
@@ -23,21 +25,18 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .forward import SourceSpec
 from .modes import ModelParams, ModeTable, as_coeffs
-from .specfun import DomainError, _principal_power_array, monomial_laplace_truncated
+from .specfun import DomainError, _finite, _principal_power_array, monomial_laplace_truncated
 
 __all__ = [
     "PoleLineError",
     "JumpContext",
     "make_jump_context",
-    "mode_transform",
     "flux_transform",
-    "flux_transform_limit",
     "jump",
     "q_branch",
     "branch_search",
@@ -73,61 +72,12 @@ def _source_transforms(t0: float, s, *tables) -> list:
 
 def _points(x) -> np.ndarray:
     """The points of a scalar or an array as a flat complex array; a non-finite point raises DomainError."""
-    p = np.asarray(x, dtype=complex).ravel()
-    if not np.isfinite(p).all():
-        raise DomainError(f"points must be finite, got {complex(p[~np.isfinite(p)][0])!r}")
-    return p
+    return _finite(x, "points").ravel()
 
 
 def _shaped(values: np.ndarray, like):
     """``values`` in the shape of ``like``: a complex for a scalar."""
     return complex(values[0]) if np.ndim(like) == 0 else values.reshape(np.shape(like))
-
-
-def mode_transform(
-    params: ModelParams,
-    table: ModeTable,
-    k: int,
-    phi_k: complex,
-    psi_k: complex,
-    f_row,
-    chi_row,
-    s: complex,
-) -> tuple[complex, complex]:
-    """(U_k(s), V_k(s)) by the closed formulas; valid wherever the denominator is nonzero.
-
-    The formula itself is the analytic continuation, so Re s is unrestricted.
-    """
-    j = table.row(k)
-    sp = _points(s)
-    if (sp == 0).any():
-        raise DomainError("mode_transform is singular at s = 0 (the s^(alpha-1) factor)")
-    sa = _principal_power_array(sp, params.alpha)
-    sam1 = _principal_power_array(sp, params.alpha - 1.0)
-    F, X = _source_transforms(params.t0, sp, f_row, chi_row)
-    U, V = _mode_transform_core(params, table, j, complex(phi_k), complex(psi_k), F, X, sa, sam1)
-    return _shaped(U, s), _shaped(V, s)
-
-
-def _mode_transform_core(params, table, j, phi_k, psi_k, F, X, sa, sam1):
-    """Assemble U, V from s^alpha, s^(alpha-1) and source transforms; ``j`` may be a (K, 1) column."""
-    lamb = table.lam_breve[j]
-    lamh = table.lam_hat[j]
-    den1 = sa + lamb
-    den2 = sa + lamh
-    mode = np.broadcast_to(np.asarray(j) + 1, np.broadcast(den1, den2).shape)
-    zero = (np.abs(den1) < 1e-13 * np.maximum(lamb, 1.0)) | (np.abs(den2) < 1e-13 * np.maximum(lamh, 1.0))
-    if zero.any():
-        raise DomainError(f"evaluation at a zero of the mode-{mode[zero][0]} denominator")
-    near = (np.abs(den2) < 1e-8 * table.lam[j]) | (np.abs(den1) < 1e-8 * table.lam[j])
-    if near.any():
-        warnings.warn(f"mode {mode[near][0]} transform evaluated near a denominator zero", stacklevel=3)
-    lam = table.lam[j]
-    nu = F + sam1 * phi_k
-    nx = X + sam1 * psi_k
-    U = ((sa + params.varkappa * lam + params.d) * nu - params.a * nx) / (den1 * den2)
-    V = ((sa + params.kappa * lam + params.c) * nx - params.b * nu) / (den1 * den2)
-    return U, V
 
 
 @dataclass(frozen=True)
@@ -200,7 +150,7 @@ def make_jump_context(params: ModelParams, table: ModeTable, phi, psi, src: Sour
 
 
 # ---------------------------------------------------------------------------
-# transform, one-sided limits, jump
+# transform, jump
 # ---------------------------------------------------------------------------
 
 
@@ -216,16 +166,6 @@ def flux_transform(ctx: JumpContext, s):
     sa = _principal_power_array(sp, ctx.alpha)
     sam1 = _principal_power_array(sp, ctx.alpha - 1.0)
     return _shaped(_flux_sum(ctx, *_flux_sources(ctx, sp), sa, sam1), s)
-
-
-def flux_transform_limit(ctx: JumpContext, r, side: Literal["+", "-"]):
-    """One-sided limit of the flux transform at s = -r from above (+) or below (-)."""
-    if side not in ("+", "-"):
-        raise ValueError(f"side must be '+' or '-', got {side!r}")
-    rp = np.asarray(r, dtype=float).ravel()
-    if not (np.isfinite(rp) & (rp > 0)).all():
-        raise DomainError("r must be positive and finite")
-    return _shaped(_cut_edges(ctx, rp, rp**ctx.alpha, rp ** (ctx.alpha - 1.0))["+-".index(side)], r)
 
 
 def jump(ctx: JumpContext, rho):
@@ -257,11 +197,27 @@ def _flux_sources(ctx: JumpContext, s) -> list:
 
 
 def _flux_sum(ctx: JumpContext, F, X, sa, sam1) -> np.ndarray:
-    """The flux series from the source transforms F, X and s^alpha, s^(alpha-1), summed in k order."""
-    j = np.arange(ctx.K)[:, None]
-    U, _ = _mode_transform_core(ctx.params, ctx.table, j, ctx.phi[j], ctx.psi[j], F, X, sa, sam1)
+    """sum_k gamma_k U_k from the (K, N) source transforms F, X and s^alpha, s^(alpha-1), summed in k order.
+
+    U_k = ((s^alpha + varkappa lam_k + d)(F_k + s^(alpha-1) phi_k) - a (X_k + s^(alpha-1) psi_k))
+    / ((s^alpha + lam_breve_k)(s^alpha + lam_hat_k)), valid wherever the denominator is nonzero: a zero
+    raises DomainError and a near-zero warns.
+    """
+    p, t = ctx.params, ctx.table
+    lamb, lamh, lam = t.lam_breve[:, None], t.lam_hat[:, None], t.lam[:, None]
+    den1 = sa + lamb
+    den2 = sa + lamh
+    zero = (np.abs(den1) < 1e-13 * np.maximum(lamb, 1.0)) | (np.abs(den2) < 1e-13 * np.maximum(lamh, 1.0))
+    if zero.any():
+        raise DomainError(f"evaluation at a zero of the mode-{np.argwhere(zero)[0, 0] + 1} denominator")
+    near = (np.abs(den2) < 1e-8 * lam) | (np.abs(den1) < 1e-8 * lam)
+    if near.any():
+        warnings.warn(f"mode {np.argwhere(near)[0, 0] + 1} transform evaluated near a denominator zero", stacklevel=3)
+    nu = F + sam1 * ctx.phi[:, None]
+    nx = X + sam1 * ctx.psi[:, None]
+    U = ((sa + p.varkappa * lam + p.d) * nu - p.a * nx) / (den1 * den2)
     total = np.zeros(U.shape[1:], dtype=complex)  # from a complex zero, so a -0.0 part comes out +0.0
-    for term in U * ctx.table.gamma_trace[j]:
+    for term in U * t.gamma_trace[:, None]:
         total = total + term
     return total
 

@@ -69,20 +69,22 @@ class ModelParams:
     def validate(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise AdmissibilityError(f"requires 0 < alpha < 1, got alpha = {self.alpha}")
-        if self.kappa <= 0 or self.varkappa <= 0:
+        # each check is written so that NaN and +-inf fail it; a*b is non-finite when a or b is
+        if not (0.0 < self.kappa < math.inf and 0.0 < self.varkappa < math.inf):
             raise AdmissibilityError(
-                f"requires kappa > 0 and varkappa > 0, got kappa = {self.kappa}, varkappa = {self.varkappa}"
+                f"requires finite kappa > 0 and varkappa > 0, got kappa = {self.kappa}, varkappa = {self.varkappa}"
             )
-        if self.c < 0 or self.d < 0:
-            raise AdmissibilityError(f"requires c >= 0 and d >= 0, got c = {self.c}, d = {self.d}")
+        if not (0.0 <= self.c < math.inf and 0.0 <= self.d < math.inf):
+            raise AdmissibilityError(f"requires finite c >= 0 and d >= 0, got c = {self.c}, d = {self.d}")
         ab = self.a * self.b
-        if ab > min(self.c**2, self.d**2):
+        if not (math.isfinite(ab) and ab <= min(self.c**2, self.d**2)):
             raise AdmissibilityError(
-                f"requires a*b <= min(c^2, d^2): a*b = {ab}, min(c^2, d^2) = {min(self.c**2, self.d**2)}"
+                f"requires finite a, b with a*b <= min(c^2, d^2): a*b = {ab}, "
+                f"min(c^2, d^2) = {min(self.c**2, self.d**2)}"
             )
         self._check_discriminant_all_modes()
-        if not (0.0 < self.t0 < self.t1):
-            raise AdmissibilityError(f"requires 0 < t0 < t1, got t0 = {self.t0}, t1 = {self.t1}")
+        if not (0.0 < self.t0 < self.t1 < math.inf):
+            raise AdmissibilityError(f"requires 0 < t0 < t1 < inf, got t0 = {self.t0}, t1 = {self.t1}")
 
     def _check_discriminant_all_modes(self) -> None:
         # ((kappa - varkappa) lam + c - d)^2 + 4ab >= 0 for every lam = k^2:

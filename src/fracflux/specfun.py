@@ -101,8 +101,8 @@ class PrabhakarParams:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.beta < 0.0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
+        if not (0.0 <= self.beta < math.inf):
+            raise DomainError(f"beta must be finite and >= 0, got {self.beta}")
         if self.gamma not in (1.0, 2.0):
             raise DomainError(f"gamma must be 1 or 2, got {self.gamma}")
 
@@ -110,6 +110,15 @@ class PrabhakarParams:
     def sector_half_angle(self) -> float:
         """Half-opening of the sector |Arg(-z)| < (2 - alpha) pi / 2 of its argument."""
         return 0.5 * (2.0 - self.alpha) * math.pi
+
+
+def _finite(x, name: str) -> np.ndarray:
+    """``x`` as a complex array; a non-finite element raises DomainError naming the first one."""
+    arr = np.asarray(x, dtype=complex)
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"{name} must be finite, got {complex(arr[bad][0])!r}")
+    return arr
 
 
 def principal_power(z: complex, beta: float) -> complex:
@@ -482,7 +491,7 @@ def prabhakar_diag(params: PrabhakarParams, z):
     a, b, g = params.alpha, params.beta, params.gamma
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     shape = zarr.shape
-    zf = zarr.ravel()
+    zf = _finite(zarr, "z").ravel()
     # real coefficients give E(conj z) = conj E(z); evaluating the upper half
     # plane only makes the symmetry exact and keeps real arguments real
     lower = zf.imag < 0
@@ -730,11 +739,11 @@ def monomial_laplace_truncated(m: int, t0: float, s) -> complex | np.ndarray:
     also fills the removable singularity at s = 0.  Beyond |w| = n the closed
     form gamma(n, w) = (n-1)! (1 - e^-w sum_{j<n} w^j / j!).
     """
-    if m < 0 or m != int(m):
+    if not (0 <= m < math.inf and m == int(m)):
         raise DomainError("monomial degree must be a non-negative integer")
-    if t0 <= 0:
-        raise DomainError("t0 must be positive")
-    w = np.asarray(s, dtype=complex) * t0
+    if not (0.0 < t0 < math.inf):
+        raise DomainError(f"t0 must be positive and finite, got {t0!r}")
+    w = _finite(s, "s") * t0
     if (w.real < -700.0).any():
         raise DomainError(f"truncated transform overflows double precision at s*t0 = {w[w.real < -700.0][0]}")
     out = t0 ** (int(m) + 1) * _gamma_star(int(m) + 1, w.ravel()).reshape(w.shape)

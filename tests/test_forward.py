@@ -61,14 +61,29 @@ def q_rows(p, table, z):
 
 
 @pytest.mark.parametrize("k", [0, 5])
-@pytest.mark.parametrize("call", ["mode_transform"])
+@pytest.mark.parametrize("call", ["residue_ip1", "residue_ip2", "g_eval"])
 def test_mode_index_outside_1_to_K_rejected(call, k):
-    from fracflux.laplace import mode_transform
+    # all three go through ModeTable.row
+    from fracflux import inverse
+    from fracflux.laplace import make_jump_context
 
-    p = coupled_params()
+    p = decoupled_params(c=0.5) if call == "residue_ip1" else coupled_params()
     t = build_mode_table(p, 4)
+    phi, psi, src = rand_setup(p, 4, 1)
+    ctx = make_jump_context(p, t, phi, psi, src)
+    calls = {
+        "residue_ip1": lambda: inverse.residue_ip1(ctx, k),
+        "residue_ip2": lambda: inverse.residue_ip2(ctx, k),
+        "g_eval": lambda: ctx.g_eval(k, 1.5 + 0.5j),
+    }
     with pytest.raises(ValueError, match=rf"mode {k} outside 1\.\.4"):
-        mode_transform(p, t, k, 1.0, 0.5, [0.3], [0.1], 1.5 + 0.5j)
+        calls[call]()
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf, 0.0])
+def test_source_t0_must_be_positive_and_finite(t0):
+    with pytest.raises(ValueError, match="t0 must be positive and finite"):
+        SourceSpec.zero(2, 1, t0)
 
 
 class TestQkWk:

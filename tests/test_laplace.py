@@ -14,10 +14,8 @@ from fracflux.laplace import (
     branch_phase,
     branch_search,
     flux_transform,
-    flux_transform_limit,
     jump,
     make_jump_context,
-    mode_transform,
     q_branch,
 )
 from fracflux.modes import ModelParams, build_mode_table
@@ -51,11 +49,22 @@ def make_ctx(problem="ip2", K=4, seed=0, **kw):
     return make_jump_context(p, t, phi, psi, src), p, t, phi, psi, src
 
 
+def one_hot(p, t, phi, psi, src, k):
+    """The context in which only mode k carries data: its flux transform is gamma_k U_k."""
+    keep = np.arange(t.K) == k - 1
+    f, chi = (np.where(keep[:, None], c, 0.0) for c in (src.f_coeffs, src.chi_coeffs))
+    one = SourceSpec(degree=src.degree, t0=src.t0, f_coeffs=f, chi_coeffs=chi)
+    return make_jump_context(p, t, np.where(keep, phi, 0.0), np.where(keep, psi, 0.0), one)
+
+
 class TestModeTransform:
+    """The mode-k transform U_k, read through ``flux_transform`` on a one-hot context."""
+
     def test_zero_data_zero_transform(self):
         _, p, t, *_ = make_ctx()
-        U, V = mode_transform(p, t, 1, 0.0, 0.0, [0.0], [0.0], 1.5 + 0.5j)
-        assert U == 0 and V == 0
+        zero = SourceSpec.zero(4, 2, p.t0)
+        for k in range(1, t.K + 1):
+            assert flux_transform(one_hot(p, t, np.zeros(4), np.zeros(4), zero, k), 1.5 + 0.5j) == 0
 
     def test_decoupled_single_factor_structure(self):
         # with a = 0 the transform collapses to (F + s^(a-1) phi)/(s^a + kappa lam + c)
@@ -66,34 +75,25 @@ class TestModeTransform:
         s = 2.0 + 1.0j
         k = 2
         f_row = [1.0, -0.5, 0.25]
-        U, _ = mode_transform(p, t, k, 0.7, 0.0, f_row, [0.0, 0.0, 0.0], s)
+        src = SourceSpec(degree=2, t0=p.t0, f_coeffs=np.tile(f_row, (4, 1)), chi_coeffs=np.zeros((4, 3)))
+        U = flux_transform(one_hot(p, t, np.full(4, 0.7), np.zeros(4), src, k), s) / t.gamma_trace[k - 1]
         num = _source_transforms(p.t0, s, f_row)[0] + principal_power(s, p.alpha - 1.0) * 0.7
         expect = num / (principal_power(s, p.alpha) + p.kappa * t.lam[k - 1] + p.c)
         assert U == pytest.approx(expect, rel=1e-13)
 
     def test_matches_time_domain_quadrature(self):
-        ctx, p, t, phi, psi, src = make_ctx(seed=2)
+        _, p, t, phi, psi, src = make_ctx(seed=2)
         s = 1.0 + 0.0j
-        k = 3
-        ref = flux_transform_by_quadrature(p, t, phi, psi, src, [s], T=80.0)[0]
-        # single-mode check through the flux: use a context with only mode k active
-        phi1 = np.zeros(4)
-        phi1[k - 1] = phi[k - 1]
-        psi1 = np.zeros(4)
-        psi1[k - 1] = psi[k - 1]
-        f1 = np.zeros((4, 3))
-        f1[k - 1] = src.f_coeffs[k - 1].real
-        x1 = np.zeros((4, 3))
-        x1[k - 1] = src.chi_coeffs[k - 1].real
-        src1 = SourceSpec(degree=2, t0=p.t0, f_coeffs=f1, chi_coeffs=x1)
-        ref1 = flux_transform_by_quadrature(p, t, phi1, psi1, src1, [s], T=80.0)[0]
-        U, _ = mode_transform(p, t, k, phi[k - 1], psi[k - 1], src.f_coeffs[k - 1], src.chi_coeffs[k - 1], s)
-        assert abs(U * t.gamma_trace[k - 1] - ref1) < 1e-4 * abs(ref1)
+        ctx1 = one_hot(p, t, phi, psi, src, 3)
+        ref1 = flux_transform_by_quadrature(p, t, ctx1.phi, ctx1.psi, ctx1.src, [s], T=80.0)[0]
+        got = flux_transform(ctx1, s)
+        assert abs(got - ref1) < 1e-4 * abs(ref1)
 
     def test_singular_at_origin(self):
         _, p, t, *_ = make_ctx()
+        ctx1 = one_hot(p, t, np.ones(4), np.zeros(4), SourceSpec.zero(4, 2, p.t0), 1)
         with pytest.raises(DomainError):
-            mode_transform(p, t, 1, 1.0, 0.0, [0.0], [0.0], 0.0)
+            flux_transform(ctx1, 0.0)
 
 
 class TestFluxTransform:
@@ -112,17 +112,13 @@ class TestFluxTransform:
         assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-4
 
     def test_one_sided_limits_exist_and_differ(self):
-        ctx, *_ = make_ctx(seed=4)
-        up = flux_transform_limit(ctx, 1.3, "+")
-        dn = flux_transform_limit(ctx, 1.3, "-")
-        assert np.isfinite([up.real, up.imag, dn.real, dn.imag]).all()
-        assert up != dn
-        assert up == pytest.approx(dn.conjugate(), rel=1e-12)  # real data reflect
-
-    def test_side_other_than_plus_or_minus_rejected(self):
-        ctx, *_ = make_ctx(seed=4)
-        with pytest.raises(ValueError, match="side"):
-            flux_transform_limit(ctx, 1.3, "x")
+        # read through their difference at s = -1.3: with real data the two limits
+        # reflect, so the jump between them is finite, nonzero and purely imaginary
+        ctx, p, *_ = make_ctx(seed=4)
+        jv = jump(ctx, 1.3**p.alpha)
+        assert np.isfinite([jv.real, jv.imag]).all()
+        assert jv != 0
+        assert abs(jv.real) <= 1e-12 * abs(jv)
 
 
 class TestJump:
@@ -149,7 +145,7 @@ class TestJump:
         ctx, p, *_ = make_ctx(seed=6)
         rho = 1.1
         jv = jump(ctx, rho)
-        upper = flux_transform_limit(ctx, rho ** (1.0 / p.alpha), "+")
+        upper = flux_transform(ctx, -(rho ** (1.0 / p.alpha)))  # the principal branch takes Arg = +pi there
         assert jv == pytest.approx(2j * upper.imag, rel=1e-12)
 
     def test_rho_positive_required(self):
@@ -340,13 +336,11 @@ class TestArrayPath:
             q_branch(ctx, 0, zs)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, complex(1.0, math.nan)])
-    @pytest.mark.parametrize("call", ["flux_transform", "flux_transform_limit", "mode_transform", "q_branch"])
+    @pytest.mark.parametrize("call", ["flux_transform", "q_branch"])
     def test_non_finite_point_rejected(self, call, x):
-        ctx, p, t, *_ = make_ctx()
+        ctx, *_ = make_ctx()
         calls = {
             "flux_transform": lambda: flux_transform(ctx, [1.0, x]),
-            "flux_transform_limit": lambda: flux_transform_limit(ctx, [1.0, abs(x)], "+"),
-            "mode_transform": lambda: mode_transform(p, t, 1, 1.0, 0.5, [0.3], [0.1], x),
             "q_branch": lambda: q_branch(ctx, 0, [1.0, x]),
         }
         with pytest.raises(DomainError, match="finite"):

@@ -45,6 +45,16 @@ class TestAdmissibility:
             coupled_params(**kw)
         assert fragment in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [{key: math.nan} for key in ("kappa", "varkappa", "a", "b", "c", "d")]
+        + [dict(kappa=math.inf), dict(t1=math.inf)],
+        ids=lambda kw: ",".join(f"{key}={value}" for key, value in kw.items()),
+    )
+    def test_non_finite_coefficient_rejected(self, kw):
+        with pytest.raises(AdmissibilityError, match="finite|inf"):
+            coupled_params(**kw)
+
     def test_discriminant_violation_detected(self):
         # kappa = varkappa with (c-d)^2 + 4ab < 0: roots would be complex
         with pytest.raises(AdmissibilityError) as exc:

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 import time
 
 import numpy as np
@@ -91,6 +92,23 @@ class TestPrabhakarValues:
             # an exit-3 message names the kernel as well as the argument
             assert f"(alpha, beta, gamma) = (0.3, 1.0, {gamma})" in str(exc.value)
             assert "z=(10000+0j)" in str(exc.value)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_non_finite_argument_rejected_before_any_route(self, monkeypatch, z):
+        from fracflux import specfun
+
+        def no_route(*args):
+            raise AssertionError("a route ran on a non-finite argument")
+
+        for route in ("_asym_route", "_series_route", "_contour_route"):
+            monkeypatch.setattr(specfun, route, no_route)
+        with pytest.raises(DomainError, match=re.escape(f"z must be finite, got {complex(z)!r}")):
+            prabhakar_array(PrabhakarParams(0.5, 1.0, 1.0), [0.5, z])
+
+    def test_non_finite_beta_rejected(self):
+        for beta in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="beta must be finite"):
+                PrabhakarParams(0.5, beta, 1.0)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -641,3 +659,10 @@ class TestMonomialTransforms:
             monomial_laplace_truncated(-1, 1.0, 1.0)
         with pytest.raises(DomainError):
             monomial_laplace_truncated(0, 0.0, 1.0)
+        # a non-finite t0 or s is refused rather than returned as NaN
+        for t0, s in [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (1.0, [1.0, complex(1.0, math.inf)])]:
+            with pytest.raises(DomainError, match="must be positive and finite|s must be finite"):
+                monomial_laplace_truncated(0, t0, s)
+        for m in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="non-negative integer"):
+                monomial_laplace_truncated(m, 1.0, 1.0)
