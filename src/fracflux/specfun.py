@@ -32,6 +32,16 @@ and then fails its target.
 depend, bit for bit, on the other points of its call, since every route works point by
 point and the contour sums its nodes in row order.
 
+The real Gamma functions are private pure-Python ports, so that importing this
+module does not import scipy.  ``_gamma`` is Cephes ``Gamma`` (the P/Q rational on
+[2, 3] after the recurrence, Stirling's formula ``stirf`` above 33 and the
+reflection below -33), and ``_rgamma`` is ``1 / Gamma`` as scipy's ``rgamma``
+computes it: the Cephes Chebyshev series on [0, 1] after the recurrence for
+|x| <= 4, ``1 / _gamma(x)`` beyond.  Both use only float arithmetic and the libm
+behind ``math``, and reproduce scipy 1.17.1 bit for bit, so the values no longer
+depend on the installed scipy.  ``_psi`` and ``math.lgamma`` feed only the
+rounding weights and the stop tables of the asymptotic route.
+
 All functions are pure; nothing here keeps mutable state, so concurrent use is safe.
 """
 
@@ -41,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammaln, psi, rgamma
 
 __all__ = [
     "AccuracyError",
@@ -148,6 +157,173 @@ def _principal_angle(z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# real Gamma functions, ported from Cephes as scipy builds them
+# ---------------------------------------------------------------------------
+
+#: Gamma(x + 2) = P(x) / Q(x) on [0, 1], highest order first
+_GAMMA_P = (
+    1.60119522476751861407e-4, 1.19135147006586384913e-3, 1.04213797561761569935e-2,
+    4.76367800457137231464e-2, 2.07448227648435975150e-1, 4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5, 5.39605580493303397842e-4, -4.45641913851797240494e-3,
+    1.18139785222060435552e-2, 3.58236398605498653373e-2, -2.34591795718243348568e-1,
+    7.14304917030273074085e-2, 1.00000000000000000320e0,
+)
+#: correction series of Stirling's formula in 1/x, valid for 33 <= x <= 172
+_STIRLING = (
+    7.87311395793093628397e-4, -2.29549961613378126380e-4, -2.68132617805781232825e-3,
+    3.47222221605458667310e-3, 8.33333333333482257126e-2,
+)
+#: Chebyshev coefficients of 1 / (x Gamma(x)) - 1 on [0, 1]
+_RGAMMA_CHEB = (
+    3.13173458231230000000e-17, -6.70718606477908000000e-16, 2.20039078172259550000e-15,
+    2.47691630348254132600e-13, -6.60074100411295197440e-12, 5.13850186324226978840e-11,
+    1.08965386454418662084e-9, -3.33964630686836942556e-8, 2.68975996440595483619e-7,
+    2.96001177518801696639e-6, -8.04814124978471142852e-5, 4.16609138709688864714e-4,
+    5.06579864028608725080e-3, -6.41925436109158228810e-2, -4.98558728684003594785e-3,
+    1.27546015610523951063e-1,
+)
+#: Gamma overflows doubles from _MAXGAM; above _MAXSTIR x^(x - 1/2) would overflow first
+_MAXGAM, _MAXSTIR = 171.624376956302725, 143.01608
+#: Euler's constant, as Cephes rounds it in the small-argument branch of Gamma
+_EULER = 0.5772156649015329
+#: asymptotic series of psi in 1/x^2, highest order first: B_2j / (2j), j = 7 .. 1
+_PSI_ASYM = (
+    8.33333333333333333333e-2, -2.10927960927960927961e-2, 7.57575757575757575758e-3,
+    -4.16666666666666666667e-3, 3.96825396825396825397e-3, -8.33333333333333333333e-3,
+    8.33333333333333333333e-2,
+)
+
+
+def _polevl(x: float, coef) -> float:
+    """Horner's rule, coefficients highest order first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _chbevl(x: float, coef) -> float:
+    """Chebyshev series sum' c_i T_i(x / 2), coefficients highest order first (Clenshaw)."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b2 = b1
+        b1 = b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _stirf(x: float) -> float:
+    """Gamma(x) by Stirling's formula, for 33 < x; inf from ``_MAXGAM``."""
+    if x >= _MAXGAM:
+        return math.inf
+    w = 1.0 / x
+    w = 1.0 + w * _polevl(w, _STIRLING)
+    y = math.exp(x)
+    if x > _MAXSTIR:
+        v = math.pow(x, 0.5 * x - 0.25)
+        y = v * (v / y)
+    else:
+        y = math.pow(x, x - 0.5) / y
+    return 2.50662827463100050242 * y * w  # sqrt(2 pi) Gamma(x)
+
+
+def _gamma(x: float) -> float:
+    """Gamma(x); nan at the poles x = -1, -2, ..., and +-inf at x = +-0."""
+    x = float(x)
+    if not math.isfinite(x):
+        return x if x > 0.0 else math.nan
+    if x == 0.0:
+        return math.copysign(math.inf, x)
+    q = abs(x)
+    if q > 33.0:
+        if x > 0.0:
+            return _stirf(x)
+        # reflection, Gamma(x) = -pi / (q sin(pi q) Gamma(q)) with q = -x
+        p = float(math.floor(q))
+        if p == q:
+            return math.nan
+        sign = -1.0 if int(p) % 2 == 0 else 1.0
+        z = q - p
+        if z > 0.5:
+            p += 1.0
+            z = q - p
+        z = q * math.sin(math.pi * z)
+        if z == 0.0:
+            return sign * math.inf
+        return sign * (math.pi / (abs(z) * _stirf(q)))
+    # recurrence into [2, 3), where the rational approximation holds
+    z = 1.0
+    while x >= 3.0:
+        x -= 1.0
+        z *= x
+    while x < 0.0:
+        if x > -1e-9:
+            return z / ((1.0 + _EULER * x) * x)
+        z /= x
+        x += 1.0
+    while x < 2.0:
+        if x < 1e-9:
+            return math.nan if x == 0.0 else z / ((1.0 + _EULER * x) * x)
+        z /= x
+        x += 1.0
+    if x == 2.0:
+        return z
+    x -= 2.0
+    return z * _polevl(x, _GAMMA_P) / _polevl(x, _GAMMA_Q)
+
+
+def _rgamma(x: float) -> float:
+    """1 / Gamma(x), entire: 0 at the poles of Gamma, +-inf where Gamma underflows."""
+    x = float(x)
+    if not math.isfinite(x):
+        return 0.0 if math.isinf(x) else x
+    if x == 0.0:
+        return x
+    if x < 0.0 and x.is_integer():
+        return 0.0
+    if abs(x) > 4.0:
+        g = _gamma(x)
+        return math.copysign(math.inf, g) if g == 0.0 else 1.0 / g
+    # recurrence into [0, 1], where the Chebyshev series holds
+    z, w = 1.0, x
+    while w > 1.0:
+        w -= 1.0
+        z *= w
+    while w < 0.0:
+        z /= w
+        w += 1.0
+    if w == 0.0:
+        return 0.0
+    if w == 1.0:
+        return 1.0 / z
+    return w * (1.0 + _chbevl(4.0 * w - 2.0, _RGAMMA_CHEB)) / z
+
+
+def _psi(x: float) -> float:
+    """Digamma function psi(x) = Gamma'(x) / Gamma(x); nan at its poles 0, -1, -2, ...
+
+    The reflection psi(x) = psi(1 - x) - pi / tan(pi x) takes x < 0 to 1 - x > 1,
+    the recurrence psi(x) = psi(x + 1) - 1 / x carries x up to 10 or more, and the
+    asymptotic series log x - 1 / (2x) - sum_j B_2j / (2j x^2j) ends it.
+    """
+    x = float(x)
+    if x <= 0.0 and x.is_integer():
+        return math.nan
+    y = 0.0
+    if x < 0.0:
+        y = -math.pi / math.tan(math.pi * (x - round(x)))
+        x = 1.0 - x
+    while x < 10.0:
+        y -= 1.0 / x
+        x += 1.0
+    z = 1.0 / (x * x)
+    return y + math.log(x) - 0.5 / x - z * _polevl(z, _PSI_ASYM)
+
+
+# ---------------------------------------------------------------------------
 # evaluation routes; each returns (values, relative error estimates)
 # ---------------------------------------------------------------------------
 
@@ -163,7 +339,7 @@ def _series_route(a: float, b: float, g: float, z: np.ndarray):
     coef = 1.0  # Gamma(g + n) / (Gamma(g) n!)
     zp = np.ones(z.shape, dtype=complex)
     for n in range(_SERIES_NMAX + 1):
-        rg = rgamma(a * n + b)
+        rg = _rgamma(a * n + b)
         term = np.where(active, coef * zp * rg, 0.0)
         t = vals + term
         swap = np.abs(vals) < np.abs(term)
@@ -226,6 +402,8 @@ _ASYM_MIN_POW = 4.0
 _ASYM_BLOCK = 8
 #: an envelope row this small against |sum + residue| ends a point's sum
 _ASYM_NEGLIGIBLE = 2.0**-60
+#: log k! for k = 0 .. _ASYM_KMAX, so that log Gamma(g + k) = _ASYM_LOG_FACT[g - 1 + k] for g in {1, 2}
+_ASYM_LOG_FACT = np.array([math.lgamma(k + 1.0) for k in range(_ASYM_KMAX + 1)])
 
 
 def _asym_route(a: float, b: float, g: float, z: np.ndarray):
@@ -280,9 +458,10 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     # a (g + k) holds in rationals too.
     ks = np.arange(_ASYM_KMAX)
     x = b - a * (g + ks)
-    rg = rgamma(x)
+    xs = x.tolist()
+    rg = np.array([_rgamma(v) for v in xs])
     slack = a * (g + ks) + np.abs(x)
-    weights = ks + 4.0 + np.where(rg != 0.0, np.abs(psi(x)) * slack, 0.0)
+    weights = ks + 4.0 + np.where(rg != 0.0, np.abs([_psi(v) for v in xs]) * slack, 0.0)
     (na, da), (nb, db) = (float(v).as_integer_ratio() for v in (a, b))
     poles = np.flatnonzero((rg == 0.0) & (x <= 0.0))
     inexact = {k for k in poles if (nb - int(x[k]) * db) * da != na * (int(g) + int(k)) * db}
@@ -290,8 +469,9 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
     # tables of the past-the-minimum rule: log S_k, the suffix minima of
     # log(S_(k+1) / S_k) and of max(sigma_k, sigma_(k+1))
     positive = x > 0.0
-    lg = gammaln(np.where(positive, x, 1.0 - x))
-    log_s = gammaln(g + ks) - gammaln(g) - gammaln(ks + 1.0) + np.where(positive, -lg, lg - math.log(math.pi))
+    lg = np.array([math.lgamma(v if v > 0.0 else 1.0 - v) for v in xs])
+    log_binom = _ASYM_LOG_FACT[int(g) - 1 :][:_ASYM_KMAX] - _ASYM_LOG_FACT[:_ASYM_KMAX]  # binom(g + k - 1, k)
+    log_s = log_binom + np.where(positive, -lg, lg - math.log(math.pi))
     sigma = np.where(positive, 1.0, np.abs(np.sin(math.pi * (x - np.round(x)))))
     rise = np.minimum.accumulate(np.diff(log_s)[::-1])[::-1]
     floor = np.minimum.accumulate(np.maximum(sigma[:-1], sigma[1:])[::-1])[::-1]
@@ -316,7 +496,7 @@ def _asym_route(a: float, b: float, g: float, z: np.ndarray):
         mag[np.isnan(mag)] = np.inf
         weighted = weights[k] * mag
         if k in inexact:
-            weighted += gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
+            weighted += _gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
         if k == 0:
             psum, pw = term, weighted
             best, vbest, wbest = np.full(act.shape, np.inf), psum.copy(), pw.copy()
@@ -501,7 +681,7 @@ def prabhakar_diag(params: PrabhakarParams, z):
 
     zero = zf == 0
     if zero.any():
-        vals[zero] = rgamma(b)
+        vals[zero] = _rgamma(b)
         est[zero] = 0.0
 
     todo = ~zero

@@ -5,14 +5,17 @@ the Prabhakar reference is an arbitrary-precision series, convolutions are
 done by quadrature, Laplace transforms of the flux by graded quadrature of
 the time-domain solution.  The one exception is the asymptotic Prabhakar
 route: its reference is the same expansion summed over the full term table,
-which checks the route's early stop, not the expansion itself.
+with the library's own ``_rgamma``, ``_psi`` and ``_gamma``, which checks the
+route's early stop, not the expansion or the Gamma functions.  Those are
+checked against the committed scipy table that ``write_gamma_table`` makes.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 import numpy as np
-from scipy.special import gamma, psi, rgamma
 
 from fracflux.forward import solve
 from fracflux.modes import build_mode_table
@@ -20,9 +23,14 @@ from fracflux.specfun import (
     _ASYM_KMAX,
     _ASYM_MIN_POW,
     _EPS,
+    _MAXGAM,
+    _MAXSTIR,
+    _gamma,
     _pole_location,
     _principal_power_array,
+    _psi,
     _residue,
+    _rgamma,
 )
 
 
@@ -108,9 +116,10 @@ def asym_route_full_table(a: float, b: float, g: float, z):
     ximinv = 1.0 / xi
     ks = np.arange(_ASYM_KMAX)
     x = b - a * (g + ks)
-    rg = rgamma(x)
+    rg = np.array([_rgamma(v) for v in x.tolist()])
     slack = a * (g + ks) + np.abs(x)
-    weights = ks + 4.0 + np.where(rg != 0.0, np.abs(psi(x)) * slack, 0.0)
+    psi = np.array([_psi(v) for v in x.tolist()])
+    weights = ks + 4.0 + np.where(rg != 0.0, np.abs(psi) * slack, 0.0)
     (na, da), (nb, db), (ng, dg) = (float(v).as_integer_ratio() for v in (a, b, g))
     poles = np.flatnonzero((rg == 0.0) & (x <= 0.0))
     inexact = {k for k in poles if (nb - int(x[k]) * db) * da * dg != na * (ng + int(k) * dg) * db}
@@ -118,7 +127,7 @@ def asym_route_full_table(a: float, b: float, g: float, z):
     for k in range(_ASYM_KMAX):
         terms[k] = (-1.0) ** k * coef * xpow * rg[k]
         if k in inexact:
-            on_pole[k] = gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
+            on_pole[k] = _gamma(1.0 - x[k]) * slack[k] * coef * np.abs(xpow)
         coef *= (g + k) / (k + 1.0)
         xpow = xpow * ximinv
     mags = np.abs(terms)
@@ -147,3 +156,66 @@ def asym_route_full_table(a: float, b: float, g: float, z):
     est_all = np.full(xi_all.shape, np.inf)
     vals_all[valid], est_all[valid] = vals, est
     return vals_all, est_all
+
+
+def solver_gamma_params(alphas=(0.1, 0.45, 0.7, 0.9, 0.99), degree: int = 3):
+    """(alpha, beta, gamma) of every Prabhakar call the solver makes with source degree M = ``degree``.
+
+    E_{a,1} and E^2_{a,a+1} for the kernels, E^g_{a,ga+j+1} for the source
+    convolutions of order j <= M.
+    """
+    out = []
+    for a in alphas:
+        out += [(a, 1.0, 1.0), (a, a + 1.0, 2.0)]
+        out += [(a, g * a + j + 1.0, g) for g in (1.0, 2.0) for j in range(degree + 1)]
+    return out
+
+
+def asym_table_args(a: float, b: float, g: float) -> list[float]:
+    """The arguments b - a (g + k), k < ``_ASYM_KMAX``, of the asymptotic route's Gamma table."""
+    return (b - a * (g + np.arange(_ASYM_KMAX))).tolist()
+
+
+def gamma_table_points() -> list[float]:
+    """Arguments of the committed ``_rgamma`` / ``_gamma`` table, in a fixed order.
+
+    The solver's arguments a n + b of the power series (n <= 500) and
+    b - a (g + k) of the asymptotic expansion (k < 70), both thinned out, for
+    ``solver_gamma_params``; then the poles of Gamma and the points next to
+    them, and two units in the last place either side of the seams of the
+    port: |x| = 4 (Chebyshev series against 1 / Gamma), 1e-9 (the
+    small-argument branch), 33 (Stirling and the reflection), 143.01608 (the
+    split power in Stirling) and 171.62 (overflow).
+    """
+    xs = []
+    for a, b, g in solver_gamma_params():
+        if g == 1.0:
+            xs += [a * n + b for n in range(0, 501, 50)]
+        xs += asym_table_args(a, b, g)[::7]
+    for n in (0, 1, 2, 3, 4, 5, 10, 33, 34, 100, 170):
+        xs += [-float(n), -n + 1e-9, -n - 1e-9, -n + 0.5, -n - 0.5]
+        xs += [math.nextafter(-float(n), math.inf), math.nextafter(-float(n), -math.inf)]
+    for seam in (4.0, 1e-9, 33.0, _MAXSTIR, _MAXGAM, 171.62):
+        for x in (seam, -seam):
+            below = above = x
+            xs.append(x)
+            for _ in range(2):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                xs += [below, above]
+    xs += [0.0, -0.0, 1.0, 2.0, 3.0, 35.0, 172.0, -200.5, 500.0, math.inf, -math.inf, math.nan]
+    return xs
+
+
+def write_gamma_table(path) -> None:
+    """Write ``x rgamma(x) gamma(x)`` as ``float.hex`` triples, one line per point, from the installed scipy.
+
+    Made once, with scipy 1.17.1, the scipy that produced ``bench/reference``.
+    """
+    import scipy
+    from scipy.special import gamma, rgamma
+
+    lines = [f"# x, scipy.special.rgamma(x), scipy.special.gamma(x) as float.hex; scipy {scipy.__version__}"]
+    with np.errstate(all="ignore"):
+        lines += [f"{x.hex()} {float(rgamma(x)).hex()} {float(gamma(x)).hex()}" for x in gamma_table_points()]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -273,8 +273,27 @@ class TestSpecfunCheck:
         assert "PASS" in out and "FAIL" not in out
 
 
-def test_cli_import_leaves_mpmath_out():
-    # mpmath is only the reference of specfun-check, imported inside it
-    code = "import sys, fracflux.cli; assert 'mpmath' not in sys.modules"
+def _fresh_python(code: str, *args: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    subprocess.run([sys.executable, "-c", code, *args], check=True, env=env)
+
+
+def test_cli_import_leaves_mpmath_out():
+    # mpmath is only the reference of specfun-check, and scipy's roots_jacobi
+    # and erfc serve only specfun-check; both are imported inside it
+    _fresh_python("import sys, fracflux.cli; assert 'mpmath' not in sys.modules and 'scipy' not in sys.modules")
+
+
+def test_artifact_commands_leave_scipy_out(tmp_path):
+    # every command that writes an artifact runs without importing scipy, so
+    # that a fresh process does not pay for it
+    crime, demo = str(tmp_path / "crime"), str(tmp_path / "demo")
+    runs = [["forward", CRIME, "--out", crime], ["invert", CRIME, crime + "/flux.csv", "--out", crime]]
+    runs += [[c, DEMO, "--out", demo] for c in ("forward", "residues", "jump-scan", "laplace-scan")]
+    code = (
+        "import json, sys; from fracflux.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv + ['--quiet']) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))[:5]\n"
+    )
+    _fresh_python(code, json.dumps(runs))

@@ -282,6 +282,48 @@ class TestAsymptoticEarlyStop:
         assert moved_total <= accepted_total // 1000, moved_total
 
 
+class TestGammaPort:
+    """``_rgamma`` and ``_gamma``, the ports of scipy's that the evaluator calls,
+    and ``_psi`` and ``math.lgamma``, which feed the asymptotic route's rounding
+    weights and stop tables."""
+
+    def test_bit_identical_to_the_scipy_table(self):
+        # tests/data/gamma_table.txt holds scipy 1.17.1's values, written by
+        # _oracles.write_gamma_table; the values of bench/reference rest on them
+        from _oracles import gamma_table_points
+        from fracflux.specfun import _gamma, _rgamma
+
+        lines = (ROOT / "tests" / "data" / "gamma_table.txt").read_text().splitlines()
+        rows = [line.split() for line in lines if not line.startswith("#")]
+        assert [r[0] for r in rows] == [x.hex() for x in gamma_table_points()]
+        got = [(x, _rgamma(float.fromhex(x)).hex(), _gamma(float.fromhex(x)).hex()) for x, _, _ in rows]
+        wrong = [(want, have) for want, have in zip(map(tuple, rows), got) if want != have]
+        assert not wrong, wrong[:5]
+
+    def test_psi_and_lgamma_on_the_asymptotic_table(self):
+        # near a zero of psi or of log Gamma the rounding of the argument alone
+        # moves the value by more than 1e-13 of itself: at b - a (g + k) =
+        # 1 - 0.73 * 49, where psi is -3.7e-4, scipy's psi is off by 2.0e-12
+        # relative and _psi by 2.5e-12.  The error is therefore measured
+        # against max(|value|, 1), which is relative where |value| >= 1
+        import mpmath as mp
+
+        from _oracles import asym_table_args, solver_gamma_params
+        from fracflux.specfun import _psi
+
+        worst_psi = worst_lgamma = 0.0
+        with mp.workdps(30):
+            for a, b, g in solver_gamma_params(alphas=(0.1, 0.45, 0.73, 0.9, 0.99)):
+                for x in asym_table_args(a, b, g):
+                    if not (x <= 0.0 and x.is_integer()):
+                        ref = float(mp.digamma(x))
+                        worst_psi = max(worst_psi, abs(_psi(x) - ref) / max(abs(ref), 1.0))
+                    y = x if x > 0.0 else 1.0 - x
+                    ref = float(mp.loggamma(y))
+                    worst_lgamma = max(worst_lgamma, abs(math.lgamma(y) - ref) / max(abs(ref), 1.0))
+        assert worst_psi <= 1e-13 and worst_lgamma <= 1e-13, (worst_psi, worst_lgamma)
+
+
 class TestBatchInvariance:
     """A point's value and estimate do not depend on the other points of its
     call, so the solver may put every kernel of one (alpha, beta, gamma) into one
